@@ -1,196 +1,179 @@
-"""Event-dispatch throughput: the event-driven core vs the fixed-step loop.
+"""Admission throughput: live admission decisions/sec and online points/sec.
 
-The simulation stack now routes every offline and online occurrence —
-arrivals, departures, fault strikes, core deaths, re-assignments —
-through :class:`repro.sim.events.EventQueue`. The pre-refactor simulator
-instead *stepped*: it advanced a clock in fixed increments and scanned
-for occurrences that had come due. This benchmark measures events/sec of
-both dispatch strategies on an offline-shaped workload (every task
-arriving at t=0 plus a Poisson fault stream, exactly what
-``MulticoreSim.run`` feeds the queue), and gates on determinism:
+An ``online`` campaign point spends nearly all of its time deciding
+arrivals and departures in :class:`repro.core.admission.AdmissionController`
+(the event queue around it is under 1% of a point). This benchmark times
+that layer directly and end to end:
 
-* the fixed-step reference must deliver the **identical** event sequence
-  the queue drains — same times, same kinds, same payload order;
-* repeated offline simulations through the event core must produce
-  bit-identical results (hashed over jobs, slices, trace and fault
-  records).
+* **decisions/sec** — a seeded arrival stream shaped like the ``online``
+  preset's (NF-skewed modes, periods on the 3600 divisor lattice, 2-8%
+  utilization, exponential lifetimes) is replayed against max-slack designs
+  of generated task sets: every arrival is one ``try_admit``, every
+  departure of an admitted task one ``remove``;
+* **points/sec** — a small ``online`` grid through ``stream_campaign`` with
+  one worker.
+
+Determinism gates: two replays of the arrival stream must give identical
+decision lists, and two runs of the grid byte-identical aggregates.
 
 Standalone on purpose (no pytest-benchmark dependency), so CI can run it
-as a smoke step and the events/sec table lands in the job log:
+as a smoke step and the table lands in the job log:
 
     PYTHONPATH=src python benchmarks/bench_online.py --smoke
 
-Exit code is non-zero when either determinism gate fails. No wall-clock
-gate: shared-runner timing is too noisy to fail CI on.
+Exit code is non-zero when a determinism gate fails. No wall-clock gate:
+shared-runner timing is too noisy to fail CI on.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
+import heapq
 import sys
 import time
 
 import numpy as np
 
-from repro.core import Overheads, design_platform
-from repro.dependability import scenario_from_params
-from repro.experiments.paper import paper_partition
-from repro.runner.spec import canonical_json
-from repro.sim.events import Event, EventKind, EventQueue
-from repro.sim.multicore import MulticoreSim
+from repro.core import AdmissionController, DesignError, Overheads, design_platform
+from repro.experiments.online import online_aggregator, online_specs
+from repro.generators import generate_mixed_taskset
+from repro.generators.periods import hyperperiod_limited_periods
+from repro.model import Mode, Task
+from repro.partition import PartitionError, partition_by_modes
+from repro.runner import stream_campaign
 
 from bench_util import write_bench_json
 
-#: Fixed-step quantum of the reference loop, as a fraction of the mean
-#: inter-event gap — fine enough that steps rarely deliver two events.
-STEP_FRACTION = 0.25
+
+def deployments(count: int, seed: int) -> list:
+    """``count`` max-slack designs of generated n=6 sets, as online points
+    build them. Infeasible draws are skipped, and so are the sets whose
+    feasible region cannot be bracketed (a known design defect)."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        ts = generate_mixed_taskset(
+            6, float(rng.choice([0.5, 1.0])), rng,
+            period_method="hyperperiod-limited", period_hyperperiod=3600.0,
+        )
+        try:
+            part = partition_by_modes(ts, heuristic="worst-fit")
+            config = design_platform(
+                part, "EDF", Overheads.uniform(0.05), "max-slack"
+            )
+        except (PartitionError, DesignError, RuntimeError):
+            continue
+        out.append((config, part))
+    return out
 
 
-def offline_event_stream(n_events: int, seed: int) -> list[Event]:
-    """An offline-shaped stream: arrivals at t=0, then scenario strikes.
-
-    One eighth of the stream is the t=0 arrival burst (the offline
-    simulator pushes every task up front); the rest is a Poisson fault
-    stream over the horizon, the dominant event source of a long
-    fault-injection run.
-    """
-    arrivals = max(1, n_events // 8)
-    events = [
-        Event(0.0, EventKind.ARRIVAL, data=i) for i in range(arrivals)
-    ]
-    horizon = 1000.0
-    strikes = n_events - arrivals
-    scenario = scenario_from_params(
-        {"scenario": "poisson", "rate": strikes / horizon,
-         "min_separation": 0.0}
-    )
-    faults = scenario.generate(
-        horizon, np.random.default_rng(seed), core_count=4
-    )
-    events.extend(
-        Event(f.time, EventKind.FAULT_STRIKE, data=f) for f in faults
-    )
-    return events
+def arrival_stream(count: int, horizon: float, rng: np.random.Generator):
+    """``count`` (time, task, lifetime) arrivals over ``[0, horizon)``."""
+    times = np.sort(rng.uniform(0.0, horizon, size=count))
+    stream = []
+    for i, t in enumerate(times):
+        draw = rng.random()
+        mode = Mode.NF if draw < 0.5 else (Mode.FS if draw < 0.8 else Mode.FT)
+        period = float(hyperperiod_limited_periods(1, rng, hyperperiod=3600.0)[0])
+        wcet = period * float(rng.uniform(0.02, 0.08))
+        lifetime = float(rng.exponential(horizon / 4.0))
+        stream.append((float(t), Task(f"dyn{i}", wcet, period, mode=mode), lifetime))
+    return stream
 
 
-def dispatch_event_core(events: list[Event]) -> tuple[float, list[Event]]:
-    """Push + drain through the shared EventQueue; (elapsed, delivered)."""
+def replay(workload) -> tuple[float, list]:
+    """Every decision of the workload; (seconds, decision list)."""
+    decisions: list = []
     start = time.perf_counter()
-    queue = EventQueue()
-    for ev in events:
-        queue.push(ev)
-    delivered = list(queue.drain())
-    return time.perf_counter() - start, delivered
+    for config, part, stream in workload:
+        ctrl = AdmissionController(config, part)
+        departures: list[tuple[float, str]] = []
+        for t, task, lifetime in stream:
+            while departures and departures[0][0] <= t:
+                _, name = heapq.heappop(departures)
+                decisions.append(("remove", name, ctrl.remove(name)))
+            decision = ctrl.try_admit(task)
+            decisions.append(("admit", task.name, decision))
+            if decision.admitted:
+                heapq.heappush(departures, (t + lifetime, task.name))
+    return time.perf_counter() - start, decisions
 
 
-def dispatch_fixed_step(events: list[Event]) -> tuple[float, list[Event]]:
-    """The pre-refactor strategy: advance a clock in fixed increments,
-    delivering everything due at each step; (elapsed, delivered)."""
+def grid_run(axes) -> tuple[float, int, str]:
+    """One online campaign; (seconds, points, aggregate bytes)."""
+    specs = online_specs(axes)
     start = time.perf_counter()
-    pending = sorted(
-        enumerate(events), key=lambda p: (p[1].time, int(p[1].kind), p[0])
+    result = stream_campaign(
+        specs, online_aggregator(), workers=1, master_seed=5, on_error="store"
     )
-    last = pending[-1][1].time if pending else 0.0
-    dt = max(last / len(pending), 1e-9) * STEP_FRACTION if pending else 1.0
-    delivered: list[Event] = []
-    cursor, now = 0, 0.0
-    while cursor < len(pending):
-        while cursor < len(pending) and pending[cursor][1].time <= now:
-            delivered.append(pending[cursor][1])
-            cursor += 1
-        now += dt
-    return time.perf_counter() - start, delivered
-
-
-def offline_result_digest() -> str:
-    """Hash of a full table2-shaped offline run through the event core."""
-    part = paper_partition()
-    config = design_platform(
-        part, "EDF", Overheads.uniform(0.05), "min-overhead-bandwidth"
-    )
-    result = MulticoreSim(part, config).run(config.period * 8)
-    payload = {
-        "jobs": {
-            key: [
-                [j.name, str(j.state), j.release, j.remaining,
-                 j.completion_time]
-                for j in res.jobs
-            ]
-            for key, res in sorted(result.processors.items())
-        },
-        "slices": {
-            key: [[s.processor, s.job, s.start, s.end]
-                  for s in res.trace.slices]
-            for key, res in sorted(result.processors.items())
-        },
-        "trace": [
-            [e.time, str(e.kind), e.who, e.detail]
-            for e in result.trace.events
-        ],
-        "faults": [
-            [r.fault.time, r.fault.core, str(r.outcome)]
-            for r in result.fault_records
-        ],
-    }
-    return hashlib.sha256(
-        canonical_json(payload).encode("utf-8")
-    ).hexdigest()
+    return time.perf_counter() - start, len(specs), result.aggregate_json()
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--events", type=int, default=200_000,
-        help="events in the largest stream (default: 200000)",
+        "--sets", type=int, default=24,
+        help="deployed designs the arrival streams run against (default: 24)",
+    )
+    parser.add_argument(
+        "--arrivals", type=int, default=60,
+        help="arrivals offered to each design (default: 60)",
     )
     parser.add_argument(
         "--smoke", action="store_true",
-        help="CI mode: 20k events, same gates, small wall-clock",
+        help="CI mode: 6 designs and a 16-point grid",
     )
     args = parser.parse_args(argv)
-    top = 20_000 if args.smoke else args.events
-    sizes = [top // 10, top]
+    sets = 6 if args.smoke else args.sets
+    arrivals = args.arrivals
+    axes = {
+        "arrival_rate": [1.0, 2.0],
+        "u_total": [0.5, 1.0],
+        "scenario": ["poisson", "permanent"],
+        "rep": list(range(2 if args.smoke else 4)),
+        "n": [6],
+        "cycles": [15],
+    }
 
+    rng = np.random.default_rng(11)
+    workload = [
+        (config, part, arrival_stream(arrivals, config.period * 30, rng))
+        for config, part in deployments(sets, seed=7)
+    ]
     failed = False
-    rates: dict[str, dict[str, float]] = {}
-    print("event dispatch throughput (offline-shaped stream)")
-    print(
-        f"{'events':>8}  {'queue ev/s':>12}  {'fixed-step ev/s':>15}  "
-        f"{'speedup':>7}"
-    )
-    for n in sizes:
-        stream = offline_event_stream(n, seed=11)
-        q_elapsed, q_delivered = dispatch_event_core(stream)
-        s_elapsed, s_delivered = dispatch_fixed_step(stream)
-        same = [
-            (ev.time, ev.kind, id(ev.data)) for ev in q_delivered
-        ] == [
-            (ev.time, ev.kind, id(ev.data)) for ev in s_delivered
-        ]
-        failed = failed or not same
-        tag = "" if same else "  DELIVERY ORDER DIVERGED"
-        rates[str(len(stream))] = {
-            "queue_events_per_sec": round(len(stream) / q_elapsed, 1),
-            "fixed_step_events_per_sec": round(len(stream) / s_elapsed, 1),
-            "speedup": round(s_elapsed / q_elapsed, 3),
-        }
-        print(
-            f"{len(stream):>8}  {len(stream) / q_elapsed:>12.0f}  "
-            f"{len(stream) / s_elapsed:>15.0f}  "
-            f"{s_elapsed / q_elapsed:>6.2f}x{tag}"
-        )
-
-    digests = {offline_result_digest() for _ in range(2)}
-    if len(digests) != 1:
-        print("FAIL: repeated offline runs are not bit-identical")
+    elapsed_a, first = replay(workload)
+    elapsed_b, second = replay(workload)
+    if first != second:
+        print("FAIL: two replays of the arrival stream decided differently")
         failed = True
-    else:
-        print(f"offline sim determinism: ok ({digests.pop()[:16]}…)")
+    count = len(first)
+    admits = sum(1 for kind, _, d in first if kind == "admit" and d.admitted)
+    offered = sum(1 for kind, _, _ in first if kind == "admit")
+    best = min(elapsed_a, elapsed_b)
+    print(f"admission decisions ({sets} designs x {arrivals} arrivals)")
+    print(
+        f"  {count} decisions ({offered} offered, {admits} admitted, "
+        f"{count - offered} removed): {count / best:.0f} decisions/sec"
+    )
+
+    runs = [grid_run(axes) for _ in range(2)]
+    if runs[0][2] != runs[1][2]:
+        print("FAIL: two runs of the online grid folded different aggregates")
+        failed = True
+    seconds = min(r[0] for r in runs)
+    points = runs[0][1]
+    print(f"online grid: {points} points, {points / seconds:.2f} points/sec")
+
     write_bench_json(
         "online",
-        config={"events": top, "smoke": args.smoke},
-        dispatch=rates,
+        config={"sets": sets, "arrivals": arrivals, "smoke": args.smoke,
+                "grid": axes},
+        decisions=count,
+        decisions_offered=offered,
+        decisions_admitted=admits,
+        decisions_per_sec=round(count / best, 1),
+        grid_points=points,
+        points_per_sec=round(points / seconds, 3),
         deterministic=not failed,
     )
     if failed:

@@ -9,7 +9,7 @@ once:
 
 **Rescale pass** — :func:`rescale` maps a task set onto a common integer
 time base. Every float is an exact dyadic rational (``m / 2**k``), so
-periods and deadlines rationalize *losslessly* via :class:`~fractions.Fraction`;
+periods and deadlines rationalize *losslessly* via ``float.as_integer_ratio``;
 the common denominator (a power of two, because all denominators are) becomes
 the scale ``Dt``. The pass succeeds only when
 
@@ -47,7 +47,12 @@ hull of the ``(t, W)`` pairs and the Eq. 6 min on the *lower* hull.
 :func:`binding_hull` shrinks hundreds of pairs to a handful with a
 conservatively-rounded monotone chain (near-degenerate turns are kept, so
 the true binding point is never dropped and the pruned max/min is
-bit-identical to the full evaluation).
+bit-identical to the full evaluation). Building the hull costs more than
+one evaluation over the full pairs, so only
+:class:`~repro.core.minq.QuantumCurve` builds it, for the period sweeps of
+:class:`~repro.core.integration.SystemCurve` and
+:class:`~repro.core.region.FeasibleRegion`; the single-period
+:func:`~repro.core.minq.min_quantum` behind run-time admission skips it.
 """
 
 from __future__ import annotations
@@ -178,38 +183,34 @@ class ScaledTaskSet:
 
 @lru_cache(maxsize=512)
 def _rescale_cached(tasks: tuple[Task, ...]) -> ScaledTaskSet | None:
+    # Task fields are floats, and as_integer_ratio() is exact for floats:
+    # lowest terms with a power-of-two denominator, as Fraction(x) gives.
+    period_ratios = [task.period.as_integer_ratio() for task in tasks]
+    deadline_ratios = [task.deadline.as_integer_ratio() for task in tasks]
     scale = 1
-    for task in tasks:
-        for value in (task.period, task.deadline):
-            den = Fraction(value).denominator  # exact: floats are dyadic
-            if den > MAX_DENOMINATOR:
-                return None
-            # All denominators are powers of two, so lcm == max — but the
-            # general gcd form costs nothing and assumes nothing.
-            scale = scale * den // math.gcd(scale, den)
+    for _, den in period_ratios + deadline_ratios:
+        if den > MAX_DENOMINATOR:
+            return None
+        # All denominators are powers of two, so lcm == max — but the
+        # general gcd form costs nothing and assumes nothing.
+        scale = scale * den // math.gcd(scale, den)
     periods: list[int] = []
     deadlines: list[int] = []
     hyper = 1
-    for task in tasks:
-        p = int(Fraction(task.period) * scale)
-        d = int(Fraction(task.deadline) * scale)
+    for (p_num, p_den), (d_num, d_den) in zip(period_ratios, deadline_ratios):
+        p = p_num * (scale // p_den)
         periods.append(p)
-        deadlines.append(d)
+        deadlines.append(d_num * (scale // d_den))
         hyper = hyper * p // math.gcd(hyper, p)
         if hyper > MAX_SCALED:
             return None
     if hyper + max(periods) > MAX_SCALED:
         return None
+    wcet_ratios = [task.wcet.as_integer_ratio() for task in tasks]
     wcet_den = 1
-    wcet_fracs = [Fraction(task.wcet) for task in tasks]  # exact, dyadic
-    for frac in wcet_fracs:
-        wcet_den = wcet_den * frac.denominator // math.gcd(
-            wcet_den, frac.denominator
-        )
-    wcet_nums = tuple(
-        int(frac.numerator * (wcet_den // frac.denominator))
-        for frac in wcet_fracs
-    )
+    for _, den in wcet_ratios:
+        wcet_den = wcet_den * den // math.gcd(wcet_den, den)
+    wcet_nums = tuple(num * (wcet_den // den) for num, den in wcet_ratios)
     return ScaledTaskSet(
         tasks=tasks,
         scale=scale,

@@ -6,11 +6,15 @@ enlarge the time quanta* without re-deriving the whole design. This module
 implements that controller:
 
 * the design slack (``P − sum Q_k``) is a bandwidth reserve;
-* admitting a task into mode ``k`` recomputes ``minQ_k`` for the candidate
+* admitting a task into mode ``k`` recomputes ``minQ`` for the candidate
   processor bin at the fixed period ``P`` and grows ``Q_k`` by the required
   amount, provided the reserve covers it;
 * removing a task shrinks its mode's quantum back to the new binding value
   and returns the bandwidth to the reserve.
+
+Every bin's ``minQ`` at ``P`` is kept next to the bin and recomputed only
+when that bin changes, so an arrival costs one ``minQ`` per candidate bin
+and a departure costs one.
 
 The controller never changes ``P`` — changing the major period would require
 a platform-level resynchronisation, exactly what the paper's design avoids.
@@ -21,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.config import PlatformConfig, SlotSchedule
-from repro.core.minq import QuantumCurve
+from repro.core.minq import min_quantum
 from repro.model import Mode, PartitionedTaskSet, Task, TaskSet
 from repro.util import EPS
 
@@ -84,6 +88,9 @@ class AdmissionController:
         self._usable: dict[Mode, float] = {
             mode: config.schedule.usable(mode) for mode in Mode
         }
+        #: Per-bin ``minQ`` at ``P``, parallel to ``_bins``; filled per mode
+        #: on first use, then updated wherever a bin changes.
+        self._minq: dict[Mode, list[float]] = {}
         self._slack = config.slack
         self._dead: set[tuple[Mode, int]] = set()
 
@@ -130,13 +137,17 @@ class AdmissionController:
     # -- internals ----------------------------------------------------------------
 
     def _bin_minq(self, taskset: TaskSet) -> float:
-        if len(taskset) == 0:
-            return 0.0
-        return float(QuantumCurve(taskset, self._alg).evaluate(self._period))
+        return min_quantum(taskset, self._alg, self._period)
 
-    def _mode_minq(self, mode: Mode, bins: list[TaskSet] | None = None) -> float:
-        bins = self._bins[mode] if bins is None else bins
-        return max((self._bin_minq(ts) for ts in bins), default=0.0)
+    def _bin_minqs(self, mode: Mode) -> list[float]:
+        minqs = self._minq.get(mode)
+        if minqs is None:
+            minqs = [self._bin_minq(ts) for ts in self._bins[mode]]
+            self._minq[mode] = minqs
+        return minqs
+
+    def _mode_minq(self, mode: Mode) -> float:
+        return max(self._bin_minqs(mode), default=0.0)
 
     # -- operations -----------------------------------------------------------------
 
@@ -157,7 +168,8 @@ class AdmissionController:
                     reason=f"task {task.name!r} already present",
                 )
         candidates = range(len(bins)) if processor is None else [processor]
-        best: tuple[float, int, float] | None = None  # (growth, idx, new_mode_minq)
+        # (cost, idx, new mode minQ, new bin minQ)
+        best: tuple[float, int, float, float] | None = None
         for idx in candidates:
             if not 0 <= idx < len(bins):
                 return AdmissionDecision(
@@ -171,8 +183,9 @@ class AdmissionController:
                         reason=f"processor {mode}[{idx}] has failed permanently",
                     )
                 continue
-            trial = [ts if i != idx else ts.add(task) for i, ts in enumerate(bins)]
-            new_minq = self._mode_minq(mode, trial)
+            minqs = self._bin_minqs(mode)
+            bin_minq = self._bin_minq(bins[idx].add(task))
+            new_minq = max([*minqs[:idx], bin_minq, *minqs[idx + 1:]])
             growth = max(new_minq - self._usable[mode], 0.0)
             # Admitting into an empty mode starts paying the switch overhead.
             extra_overhead = (
@@ -182,13 +195,13 @@ class AdmissionController:
             )
             cost = growth + extra_overhead
             if best is None or cost < best[0] - EPS:
-                best = (cost, idx, new_minq)
+                best = (cost, idx, new_minq, bin_minq)
         if best is None:
             return AdmissionDecision(
                 False, mode, None, 0.0, self._slack,
                 reason=f"every processor of mode {mode} has failed",
             )
-        cost, idx, new_minq = best
+        cost, idx, new_minq, bin_minq = best
         if cost > self._slack + 1e-9:
             return AdmissionDecision(
                 False, mode, None, cost, self._slack,
@@ -199,6 +212,7 @@ class AdmissionController:
             )
         # Commit.
         self._bins[mode][idx] = self._bins[mode][idx].add(task)
+        self._minq[mode][idx] = bin_minq
         grown = max(new_minq - self._usable[mode], 0.0)
         self._usable[mode] = max(self._usable[mode], new_minq)
         self._slack -= cost
@@ -224,8 +238,10 @@ class AdmissionController:
             return ()
         self._dead.add((mode, processor))
         orphans = tuple(bins[processor])
+        minqs = self._bin_minqs(mode)
         bins[processor] = TaskSet()
-        new_minq = self._mode_minq(mode)
+        minqs[processor] = 0.0
+        new_minq = max(minqs)
         old_usable = self._usable[mode]
         new_usable = min(old_usable, max(new_minq, 0.0))
         freed = old_usable - new_usable
@@ -245,8 +261,10 @@ class AdmissionController:
         for mode in Mode:
             for idx, ts in enumerate(self._bins[mode]):
                 if task_name in ts:
+                    minqs = self._bin_minqs(mode)
                     self._bins[mode][idx] = ts.without([task_name])
-                    new_minq = self._mode_minq(mode)
+                    minqs[idx] = self._bin_minq(self._bins[mode][idx])
+                    new_minq = max(minqs)
                     old_usable = self._usable[mode]
                     new_usable = new_minq
                     freed = max(old_usable - new_usable, 0.0)

@@ -11,10 +11,13 @@ yields, for a demand ``W`` that must be served by time ``t``:
 * **FP** (Eq. 6): ``minQ = max_i min_{t in schedP_i} f_P(t, W_i(t))``
 * **EDF** (Eq. 11): ``minQ = max_{t in dlSet} f_P(t, W(t))``
 
-Because the point sets and demands do not depend on ``P``, a
-:class:`QuantumCurve` precomputes them once and evaluates ``minQ`` for whole
-arrays of candidate periods with a single vectorised pass — this is what
-makes the Figure-4 region sweeps fast.
+The point sets and demands do not depend on ``P`` (:func:`demand_groups`).
+:func:`min_quantum` evaluates them at its one period. A :class:`QuantumCurve`
+also prunes them to their binding convex hull, which pays off only when
+whole arrays of candidate periods are evaluated in one vectorised pass: the
+period sweeps of :class:`~repro.core.integration.SystemCurve` and
+:class:`~repro.core.region.FeasibleRegion` build it, run-time admission
+at the fixed ``P`` does not.
 
 :func:`min_quantum_exact` additionally solves the same inverse problem
 against the *exact* Lemma-1 supply (the analysis the paper calls "only
@@ -44,6 +47,42 @@ def _f_quantum(t: np.ndarray, w: np.ndarray, period: float) -> np.ndarray:
     """The quadratic root ``f_P(t, W)`` common to Eqs. 6 and 11."""
     tm = t - period
     return 0.5 * (np.sqrt(tm * tm + 4.0 * period * w) - tm)
+
+
+def demand_groups(
+    taskset: TaskSet, algorithm: str | Sequence[Task] = "EDF"
+) -> tuple[str, list[tuple[str, np.ndarray, np.ndarray]]]:
+    """The algorithm label and the ``(name, points, demand)`` groups.
+
+    EDF has one group (dlSet with its demand bound, Eq. 11); fixed priority
+    one per task, highest priority first (its scheduling points with its
+    workload, Eq. 6). An explicit priority order is labelled ``"FP"``.
+    """
+    if isinstance(algorithm, str):
+        alg = algorithm.upper()
+        order: tuple[Task, ...] | None = None
+        if alg not in ("EDF", "RM", "DM"):
+            raise ValueError(f"unknown algorithm {algorithm!r} (EDF, RM or DM)")
+        if alg in ("RM", "DM"):
+            order = priority_order(taskset, alg)
+    else:
+        order = tuple(algorithm)
+        alg = "FP"
+        if set(t.name for t in order) != set(taskset.names):
+            raise ValueError("priority order must be a permutation of the task set")
+    groups: list[tuple[str, np.ndarray, np.ndarray]] = []
+    if len(taskset) == 0:
+        return alg, groups
+    if alg == "EDF":
+        pts = edf_demand_points(taskset)  # dlSet up to the hyperperiod (Eq. 11)
+        groups.append(("*", pts, demand_bound_array(taskset, pts)))
+    else:
+        assert order is not None
+        for i, task in enumerate(order):
+            hp = order[:i]
+            pts = np.asarray(scheduling_points(task, hp), dtype=float)
+            groups.append((task.name, pts, fp_workload_array(task, hp, pts)))
+    return alg, groups
 
 
 @dataclass(frozen=True)
@@ -76,8 +115,10 @@ class MinQResult:
 class QuantumCurve:
     """``minQ`` as a reusable function of the period ``P``.
 
-    Precomputes the (point, demand) pairs of a task set once, then evaluates
-    Eq. 6 / Eq. 11 for scalar or array ``P`` in vectorised form.
+    Precomputes the (point, demand) pairs of a task set once
+    (:func:`demand_groups`), prunes them to their binding hull, then
+    evaluates Eq. 6 / Eq. 11 for scalar or array ``P`` in vectorised form.
+    For one period, :func:`min_quantum` is cheaper.
 
     Parameters
     ----------
@@ -93,35 +134,7 @@ class QuantumCurve:
         self, taskset: TaskSet, algorithm: str | Sequence[Task] = "EDF"
     ):
         self._taskset = taskset
-        if isinstance(algorithm, str):
-            alg = algorithm.upper()
-            order: tuple[Task, ...] | None = None
-            if alg not in ("EDF", "RM", "DM"):
-                raise ValueError(f"unknown algorithm {algorithm!r} (EDF, RM or DM)")
-            if alg in ("RM", "DM"):
-                order = priority_order(taskset, alg)
-        else:
-            order = tuple(algorithm)
-            alg = "FP"
-            if set(t.name for t in order) != set(taskset.names):
-                raise ValueError("priority order must be a permutation of the task set")
-        self._alg = alg
-        # Precompute (t, W) pairs; they are independent of P.
-        self._groups: list[tuple[str, np.ndarray, np.ndarray]] = []
-        if len(taskset) == 0:
-            self._eval_groups = self._groups
-            return
-        if alg == "EDF":
-            pts = edf_demand_points(taskset)  # dlSet up to the hyperperiod (Eq. 11)
-            demand = demand_bound_array(taskset, pts)
-            self._groups.append(("*", pts, demand))
-        else:
-            assert order is not None
-            for i, task in enumerate(order):
-                hp = order[:i]
-                pts = np.asarray(scheduling_points(task, hp), dtype=float)
-                w = fp_workload_array(task, hp, pts)
-                self._groups.append((task.name, pts, w))
+        self._alg, self._groups = demand_groups(taskset, algorithm)
         # f_P's superlevel (EDF) / sublevel (FP) sets are half-planes, so
         # only the convex hull of the (t, W) pairs can bind Eq. 11 / Eq. 6:
         # evaluate() sweeps a handful of hull points instead of the whole
@@ -194,21 +207,31 @@ class QuantumCurve:
 # -- functional API -------------------------------------------------------------
 
 
+def _min_quantum_at(
+    taskset: TaskSet, algorithm: str | Sequence[Task], period: float
+) -> float:
+    """Eq. 6 / Eq. 11 at one period, over the full point sets (no hull)."""
+    check_positive("period", period)
+    alg, groups = demand_groups(taskset, algorithm)
+    out = 0.0
+    for _name, pts, w in groups:
+        f = _f_quantum(pts, w, period)
+        out = np.maximum(out, f.max() if alg == "EDF" else f.min())
+    return float(out)
+
+
 def min_quantum_fp(
     taskset: TaskSet,
     period: float,
     priorities: Sequence[Task] | str = "RM",
 ) -> float:
     """Eq. 6: minimum usable quantum for fixed-priority scheduling."""
-    check_positive("period", period)
-    alg = priorities if not isinstance(priorities, str) else priorities.upper()
-    return float(QuantumCurve(taskset, alg).evaluate(period))
+    return _min_quantum_at(taskset, priorities, period)
 
 
 def min_quantum_edf(taskset: TaskSet, period: float) -> float:
     """Eq. 11: minimum usable quantum for EDF scheduling."""
-    check_positive("period", period)
-    return float(QuantumCurve(taskset, "EDF").evaluate(period))
+    return _min_quantum_at(taskset, "EDF", period)
 
 
 def min_quantum(

@@ -21,16 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.config import PlatformConfig
-from repro.core.minq import QuantumCurve
+from repro.core.minq import min_quantum
 from repro.model import Mode, PartitionedTaskSet, Task, TaskSet
 from repro.model.transformations import scale_wcets
 from repro.util import EPS, check_positive
-
-
-def _bin_minq(ts: TaskSet, alg: str, period: float) -> float:
-    if len(ts) == 0:
-        return 0.0
-    return float(QuantumCurve(ts, alg).evaluate(period))
 
 
 def quantum_margin(
@@ -44,7 +38,7 @@ def quantum_margin(
     out: dict[Mode, float] = {}
     for mode in Mode:
         need = max(
-            (_bin_minq(ts, config.algorithm, config.period)
+            (min_quantum(ts, config.algorithm, config.period)
              for ts in partition.bins(mode)),
             default=0.0,
         )
@@ -77,7 +71,7 @@ def critical_scaling_factor(
 
     def feasible(s: float) -> bool:
         scaled = scale_wcets(taskset, s)
-        return _bin_minq(scaled, algorithm, period) <= quantum + EPS
+        return min_quantum(scaled, algorithm, period) <= quantum + EPS
 
     lo_probe = tol
     if not feasible(lo_probe):
@@ -136,7 +130,7 @@ def task_wcet_margin(
         trial = TaskSet(
             t if t.name != task_name else t.replace(wcet=c) for t in ts
         )
-        return _bin_minq(trial, config.algorithm, config.period) <= quantum + EPS
+        return min_quantum(trial, config.algorithm, config.period) <= quantum + EPS
 
     if not feasible(task.wcet):
         return TaskMargin(task_name, mode, proc, task.wcet, task.wcet)

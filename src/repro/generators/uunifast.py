@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.generators.randfixedsum import randfixedsum
 from repro.util import check_positive
 
 
@@ -39,19 +40,24 @@ def uunifast_discard(
 ) -> np.ndarray:
     """UUniFast with rejection of vectors containing any ``U_i > u_max``.
 
-    Raises :class:`RuntimeError` when the acceptance region is so small that
-    ``max_attempts`` resamples all fail (e.g. ``u_total/n`` close to
-    ``u_max``).
+    At the boundary ``u_total == n * u_max`` the truncated simplex is the
+    single vector ``(u_max, ..., u_max)``, returned as is. When the
+    acceptance region is so small that ``max_attempts`` resamples all fail
+    (``u_total/n`` close to ``u_max``), the draw falls back to
+    :func:`~repro.generators.randfixedsum.randfixedsum`, which samples the
+    same truncated simplex uniformly without rejection.
     """
+    if n < 1:
+        raise ValueError(f"n must be >= 1: got {n}")
+    check_positive("u_total", u_total)
     if u_total > n * u_max:
         raise ValueError(
             f"infeasible: u_total={u_total} > n*u_max={n * u_max}"
         )
+    if u_total == n * u_max:
+        return np.full(n, float(u_max))
     for _ in range(max_attempts):
         utils = uunifast(n, u_total, rng)
         if np.all(utils <= u_max):
             return utils
-    raise RuntimeError(
-        f"uunifast_discard failed after {max_attempts} attempts "
-        f"(n={n}, u_total={u_total}, u_max={u_max})"
-    )
+    return randfixedsum(n, u_total, rng, high=u_max)

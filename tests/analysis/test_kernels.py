@@ -10,6 +10,7 @@ module counters the campaign engine aggregates.
 import math
 import os
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from repro.analysis import (
     scheduling_points,
 )
 from repro.analysis.edf import demand_bound_array, synchronous_busy_period
+from repro.generators import generate_mixed_taskset, generate_taskset
 from repro.model import Task, TaskSet
 from repro.util import EPS
 
@@ -85,6 +87,103 @@ class TestRescale:
         assert sts is not None
         assert sts.wcet_den == 8
         assert sts.wcet_nums == (3, 12)
+
+
+def _fraction_rescale(tasks):
+    """The rescale pass written with :class:`Fraction` (the reference).
+
+    Returns the :class:`ScaledTaskSet` fields as plain Python values, or
+    ``None`` where the pass must refuse the set.
+    """
+    scale = 1
+    for task in tasks:
+        for value in (task.period, task.deadline):
+            den = Fraction(value).denominator
+            if den > kernels.MAX_DENOMINATOR:
+                return None
+            scale = scale * den // math.gcd(scale, den)
+    periods = [int(Fraction(t.period) * scale) for t in tasks]
+    deadlines = [int(Fraction(t.deadline) * scale) for t in tasks]
+    hyper = 1
+    for p in periods:
+        hyper = hyper * p // math.gcd(hyper, p)
+        if hyper > kernels.MAX_SCALED:
+            return None
+    if hyper + max(periods) > kernels.MAX_SCALED:
+        return None
+    fracs = [Fraction(t.wcet) for t in tasks]
+    wcet_den = 1
+    for frac in fracs:
+        wcet_den = wcet_den * frac.denominator // math.gcd(
+            wcet_den, frac.denominator
+        )
+    nums = tuple(f.numerator * (wcet_den // f.denominator) for f in fracs)
+    return (
+        scale, periods, deadlines, [t.wcet for t in tasks], nums, wcet_den,
+        hyper,
+    )
+
+
+def _fields(sts):
+    if sts is None:
+        return None
+    assert sts.periods.dtype == np.int64 and sts.deadlines.dtype == np.int64
+    return (
+        sts.scale, sts.periods.tolist(), sts.deadlines.tolist(),
+        sts.wcets.tolist(), sts.wcet_nums, sts.wcet_den, sts.hyperperiod,
+    )
+
+
+def _reference_sets():
+    rng = np.random.default_rng(2007)
+    for i in range(40):
+        # weighted/online shape: hyperperiod-limited periods, mixed modes
+        yield generate_mixed_taskset(
+            int(rng.integers(2, 9)), float(rng.uniform(0.3, 2.0)), rng,
+            period_method="hyperperiod-limited",
+            period_hyperperiod=[720.0, 3600.0][i % 2],
+        )
+        # integer log-uniform periods, constrained deadlines (0.7 T is
+        # rarely dyadic, so many of these are MAX_DENOMINATOR refusals)
+        yield generate_taskset(
+            int(rng.integers(1, 7)), float(rng.uniform(0.2, 0.9)), rng,
+            deadline_factor=[1.0, 0.7][i % 2],
+        )
+        # dyadic non-integer periods: scale > 1
+        periods = rng.integers(1, 64, size=3) / 8.0
+        yield TaskSet(
+            Task(f"d{j}", float(p) * 0.3, float(p), float(p) * 0.75)
+            for j, p in enumerate(periods)
+        )
+
+
+class TestRescaleMatchesFractionReference:
+    def test_every_field_on_generated_sets(self):
+        outcomes = set()
+        for ts in _reference_sets():
+            expected = _fraction_rescale(ts.tasks)
+            assert _fields(kernels.rescale(ts.tasks)) == expected
+            outcomes.add(expected is None)
+        assert outcomes == {True, False}  # both refusals and scalings seen
+
+    def test_max_denominator_refusal(self):
+        ts = TaskSet([Task("a", 0.01, 0.1)])
+        assert _fraction_rescale(ts.tasks) is None
+        assert kernels.rescale(ts.tasks) is None
+
+    def test_max_scaled_refusals(self):
+        # hyperperiod past 2**53 while folding the periods in
+        assert _fraction_rescale(OVERFLOW_TASKS.tasks) is None
+        assert kernels.rescale(OVERFLOW_TASKS.tasks) is None
+        # hyperperiod itself fits, but hyperperiod + max period does not
+        edge = TaskSet([Task("e", 1.0, float(2**53 - 1))])
+        assert _fraction_rescale(edge.tasks) is None
+        assert kernels.rescale(edge.tasks) is None
+        below = TaskSet([Task("e", 1.0, float(2**52))])
+        assert _fields(kernels.rescale(below.tasks)) == _fraction_rescale(
+            below.tasks
+        )
+        assert kernels.rescale(below.tasks) is not None
 
 
 class TestToggleAndCounters:

@@ -1,13 +1,26 @@
-"""Shared fixtures for the test suite."""
+"""Shared fixtures for the test suite.
+
+Hypothesis runs derandomized by default, so every run of the suite draws
+the same examples. ``HYPOTHESIS_PROFILE=randomized`` selects fresh random
+draws (and 200 examples where a test does not pin its own count), for
+hunting new counterexamples.
+"""
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.core import FeasibleRegion, Overheads, design_platform
 from repro.experiments import paper_partition, paper_taskset
 from repro.model import Mode, Task, TaskSet
+
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.register_profile("randomized", max_examples=200, database=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "deterministic"))
 
 
 @pytest.fixture(scope="session")

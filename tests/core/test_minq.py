@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis import edf_schedulable_supply, fp_schedulable_supply
+from repro.analysis import edf_schedulable_supply, fp_schedulable_supply, kernels
 from repro.core import (
     QuantumCurve,
     min_quantum,
@@ -12,6 +12,8 @@ from repro.core import (
     min_quantum_exact,
     min_quantum_fp,
 )
+from repro.generators import generate_mixed_taskset
+from repro.generators.periods import hyperperiod_limited_periods
 from repro.model import Mode, Task, TaskSet
 from repro.supply import LinearSupply, PeriodicSlotSupply
 
@@ -142,6 +144,54 @@ class TestQuantumCurve:
     def test_detailed_empty(self):
         res = min_quantum_detailed(TaskSet(), "EDF", 2.0)
         assert res.value == 0.0
+
+
+def _campaign_shaped_bins():
+    """Per-mode bins shaped like the weighted and online presets' sets."""
+    rng = np.random.default_rng(12)
+    for i in range(16):
+        # weighted: n up to 8, u_total up to 1.8, H = 720 or 3600
+        ts = generate_mixed_taskset(
+            int(rng.integers(2, 9)), float(rng.uniform(0.3, 1.8)), rng,
+            period_method="hyperperiod-limited",
+            period_hyperperiod=[720.0, 3600.0][i % 2],
+        )
+        # online: n = 6 plus light arrivals on the H = 3600 lattice
+        online = generate_mixed_taskset(
+            6, [0.5, 1.0][i % 2], rng,
+            period_method="hyperperiod-limited", period_hyperperiod=3600.0,
+        )
+        for j, p in enumerate(hyperperiod_limited_periods(3, rng)):
+            wcet = float(p) * float(rng.uniform(0.02, 0.08))
+            online = online.add(Task(f"dyn{j}", wcet, float(p)))
+        for taskset in (ts, online):
+            for mode in Mode:
+                if len(taskset.by_mode(mode)):
+                    yield taskset.by_mode(mode)
+
+
+class TestScalarMatchesCurve:
+    """``min_quantum`` skips the hull; it must equal the curve bit for bit."""
+
+    PERIODS = [0.05, 0.37, 1.0, 2.5, 7.25, 19.0, 64.0, 250.0]
+
+    @pytest.mark.parametrize("fast", [True, False], ids=["kernels", "float"])
+    @pytest.mark.parametrize("algorithm", ["EDF", "RM", "DM"])
+    def test_bit_identical_on_campaign_shaped_bins(self, fast, algorithm):
+        with kernels.kernels_forced(fast):
+            for ts in _campaign_shaped_bins():
+                curve = QuantumCurve(ts, algorithm)
+                swept = curve.evaluate(np.asarray(self.PERIODS))
+                for p, value in zip(self.PERIODS, swept):
+                    q = min_quantum(ts, algorithm, p)
+                    assert q == curve.evaluate(p) == value
+
+    def test_explicit_order_matches_curve(self, ft_tasks):
+        order = sorted(ft_tasks, key=lambda t: -t.period)
+        for p in self.PERIODS:
+            assert min_quantum_fp(ft_tasks, p, order) == QuantumCurve(
+                ft_tasks, order
+            ).evaluate(p)
 
 
 class TestExactMinQuantum:

@@ -55,7 +55,43 @@ class TestUUniFastDiscard:
         with pytest.raises(ValueError, match="infeasible"):
             uunifast_discard(2, 2.1, rng, u_max=1.0)
 
-    def test_tight_but_feasible_eventually_fails_gracefully(self, rng):
-        # Acceptance probability ~0 here: must raise RuntimeError, not hang.
-        with pytest.raises(RuntimeError):
-            uunifast_discard(3, 2.9999, rng, u_max=1.0, max_attempts=5)
+    def test_tight_draw_falls_back_to_randfixedsum(self, rng):
+        # Acceptance probability ~0 here: after max_attempts the draw comes
+        # from randfixedsum on the same truncated simplex, not an error.
+        u = uunifast_discard(3, 2.9999, rng, u_max=1.0, max_attempts=5)
+        assert u.shape == (3,)
+        assert u.sum() == pytest.approx(2.9999)
+        assert np.all(u <= 1.0 + 1e-9)
+
+    def test_boundary_returns_the_unique_vector(self, rng):
+        # u_total == n*u_max: the truncated simplex is one point, which
+        # rejection sampling hits with probability zero.
+        state = rng.bit_generator.state
+        u = uunifast_discard(2, 2.0, rng, u_max=1.0)
+        assert u.tolist() == [1.0, 1.0]
+        assert rng.bit_generator.state == state  # no draw consumed
+        assert uunifast_discard(4, 2.0, rng, u_max=0.5).tolist() == [0.5] * 4
+
+    def test_near_boundary_draw_is_bounded(self, rng):
+        u = uunifast_discard(2, 1.99999, rng, u_max=1.0)
+        assert u.sum() == pytest.approx(1.99999)
+        assert np.all(u <= 1.0 + 1e-9)
+
+    def test_succeeding_draws_unchanged(self):
+        # The fallback only replaces the old exhaustion error: a draw that
+        # rejection sampling accepts is the same vector as before.
+        rng = np.random.default_rng(11)
+        expected = None
+        for _ in range(100):
+            candidate = uunifast(4, 2.0, rng)
+            if np.all(candidate <= 0.8):
+                expected = candidate
+                break
+        u = uunifast_discard(4, 2.0, np.random.default_rng(11), u_max=0.8)
+        assert expected is not None and u.tolist() == expected.tolist()
+
+    def test_rejects_bad_arguments(self, rng):
+        with pytest.raises(ValueError):
+            uunifast_discard(0, 0.0, rng, u_max=0.0)
+        with pytest.raises(ValueError):
+            uunifast_discard(2, 0.0, rng)

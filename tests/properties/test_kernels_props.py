@@ -8,7 +8,7 @@ under :class:`repro.analysis.kernels.kernels_forced` and compare exactly
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import (
@@ -83,6 +83,10 @@ def test_weighted_preset_fast_equals_exact(seed, n, u_total, period, algorithm):
     algorithm=st.sampled_from(["EDF", "RM"]),
 )
 @settings(max_examples=40, deadline=None)
+# u_total == n * u_max: the generator's single-vector boundary, and a draw
+# just inside it that exhausts rejection sampling
+@example(seed=0, n=2, u_total=2.0, period=1.0, algorithm="EDF")
+@example(seed=1, n=2, u_total=1.99999, period=7.5, algorithm="RM")
 def test_faultspace_preset_fast_equals_exact(seed, n, u_total, period, algorithm):
     # the dependability sweep pushes u_total well past 1: overloaded sets
     # must agree on their (negative) verdicts too
