@@ -49,10 +49,13 @@ conservatively-rounded monotone chain (near-degenerate turns are kept, so
 the true binding point is never dropped and the pruned max/min is
 bit-identical to the full evaluation). Building the hull costs more than
 one evaluation over the full pairs, so only
-:class:`~repro.core.minq.QuantumCurve` builds it, for the period sweeps of
-:class:`~repro.core.integration.SystemCurve` and
-:class:`~repro.core.region.FeasibleRegion`; the single-period
-:func:`~repro.core.minq.min_quantum` behind run-time admission skips it.
+:class:`~repro.core.minq.QuantumCurve` builds it and supplies the pruned
+groups; :class:`~repro.core.integration.SystemCurve` stacks every bin's
+groups per mode and evaluates them in one pass for the period sweeps of
+:class:`~repro.core.region.FeasibleRegion`, and
+:meth:`~repro.core.minq.QuantumCurve.evaluate` serves a standalone curve.
+The single-period :func:`~repro.core.minq.min_quantum` behind run-time
+admission skips the hull.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ import abc
 from dataclasses import dataclass
 
 from repro.core.config import Overheads, PlatformConfig, SlotSchedule
-from repro.core.integration import SystemCurve, quanta_feasible
+from repro.core.integration import SystemCurve
 from repro.core.region import FeasibleRegion
 from repro.model import MODE_ORDER, Mode, PartitionedTaskSet
 from repro.util import EPS, check_positive
@@ -107,8 +107,9 @@ def design_platform(
         A :class:`DesignGoal` or one of the names
         ``"min-overhead-bandwidth"`` / ``"max-slack"``.
     region:
-        Optional pre-built :class:`FeasibleRegion` (reuse across designs to
-        avoid repeated sweeps).
+        Optional pre-built :class:`FeasibleRegion` for this partition and
+        algorithm (reuse across designs to avoid repeated sweeps). The
+        design is read off and checked against its one curve.
     distribute_slack:
         What to do with bandwidth above the binding quanta:
 
@@ -168,7 +169,7 @@ def design_platform(
             slack = 0.0
 
     schedule = SlotSchedule(period, quanta, overheads)
-    verdicts = quanta_feasible(partition, algorithm, schedule)
+    verdicts = curve.quanta_feasible(schedule)
     if not all(verdicts.values()):
         bad = [str(m) for m, ok in verdicts.items() if not ok]
         raise DesignError(

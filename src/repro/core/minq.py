@@ -14,10 +14,13 @@ yields, for a demand ``W`` that must be served by time ``t``:
 The point sets and demands do not depend on ``P`` (:func:`demand_groups`).
 :func:`min_quantum` evaluates them at its one period. A :class:`QuantumCurve`
 also prunes them to their binding convex hull, which pays off only when
-whole arrays of candidate periods are evaluated in one vectorised pass: the
-period sweeps of :class:`~repro.core.integration.SystemCurve` and
-:class:`~repro.core.region.FeasibleRegion` build it, run-time admission
-at the fixed ``P`` does not.
+whole arrays of candidate periods are evaluated in one vectorised pass, so
+run-time admission at the fixed ``P`` does not build one. A curve supplies
+its pruned groups (:attr:`QuantumCurve.hull_groups`) to
+:class:`~repro.core.integration.SystemCurve`, which stacks every bin's
+groups of a mode and evaluates them in one pass for the period sweeps of
+:class:`~repro.core.region.FeasibleRegion`;
+:meth:`QuantumCurve.evaluate` serves a standalone curve.
 
 :func:`min_quantum_exact` additionally solves the same inverse problem
 against the *exact* Lemma-1 supply (the analysis the paper calls "only
@@ -47,6 +50,12 @@ def _f_quantum(t: np.ndarray, w: np.ndarray, period: float) -> np.ndarray:
     """The quadratic root ``f_P(t, W)`` common to Eqs. 6 and 11."""
     tm = t - period
     return 0.5 * (np.sqrt(tm * tm + 4.0 * period * w) - tm)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.flags.writeable = False
+    return view
 
 
 def demand_groups(
@@ -116,9 +125,11 @@ class QuantumCurve:
     """``minQ`` as a reusable function of the period ``P``.
 
     Precomputes the (point, demand) pairs of a task set once
-    (:func:`demand_groups`), prunes them to their binding hull, then
-    evaluates Eq. 6 / Eq. 11 for scalar or array ``P`` in vectorised form.
-    For one period, :func:`min_quantum` is cheaper.
+    (:func:`demand_groups`), prunes them to their binding hull
+    (:attr:`hull_groups`), then evaluates Eq. 6 / Eq. 11 for scalar or
+    array ``P`` in vectorised form. For one period, :func:`min_quantum` is
+    cheaper; for the bins of a whole partition,
+    :class:`~repro.core.integration.SystemCurve` stacks the hull groups.
 
     Parameters
     ----------
@@ -162,6 +173,20 @@ class QuantumCurve:
     def taskset(self) -> TaskSet:
         """The underlying task set."""
         return self._taskset
+
+    @property
+    def hull_groups(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """The ``(points, demand)`` arrays :meth:`evaluate` sweeps, per group.
+
+        One pair per group of :func:`demand_groups` (EDF: one; FP: one per
+        task, highest priority first), pruned to the binding hull when the
+        fast kernels are on and complete otherwise. Every group is
+        non-empty: a task's own deadline is always one of its points. The
+        arrays are read-only views.
+        """
+        return tuple(
+            (_read_only(pts), _read_only(w)) for _name, pts, w in self._eval_groups
+        )
 
     def evaluate(self, periods: np.ndarray | float) -> np.ndarray | float:
         """``minQ`` for each period in ``periods`` (scalar in, scalar out)."""
@@ -315,13 +340,6 @@ def min_quantum_exact(
         else:
             lo = mid
     return hi
-
-
-def quantum_curves_for_bins(
-    bins: Sequence[TaskSet], algorithm: str
-) -> list[QuantumCurve]:
-    """Build one :class:`QuantumCurve` per partition bin (convenience)."""
-    return [QuantumCurve(ts, algorithm) for ts in bins]
 
 
 def min_quantum_jitter(

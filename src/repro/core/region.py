@@ -17,10 +17,16 @@ scheduling point/task switches, and is eventually strictly decreasing (for
 large ``P`` each ``minQ_k`` grows like ``P − t_k*``, so the sum of three such
 terms overtakes ``P``). The sweeps below therefore use a fine grid plus
 bisection/local refinement, which is robust to the kinks.
+
+A region evaluates ``G`` through one
+:class:`~repro.core.integration.SystemCurve` (the stacked hull arrays of
+every bin) and computes its default grid sweep at most once: every query
+starts from that shared sweep, then bisects or refines on the same curve.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,11 +70,12 @@ class FeasibleRegion:
         p_max: float | None = None,
         grid: int = 4001,
     ):
-        self._curve = SystemCurve(partition, algorithm)
         if grid < 100:
             raise ValueError(f"grid must be >= 100: got {grid}")
+        self._curve = SystemCurve(partition, algorithm)
         self._grid = int(grid)
         self._p_max = float(p_max) if p_max is not None else self._auto_p_max()
+        self._default_sweep: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- basic evaluation --------------------------------------------------------
 
@@ -92,11 +99,14 @@ class FeasibleRegion:
         return self._curve.lhs(periods)
 
     def _auto_p_max(self) -> float:
-        """Find a sweep end beyond the last zero crossing of ``G``."""
-        hi = 1.0
-        for _ in range(60):
+        """Find a sweep end beyond the last zero crossing of ``G``.
+
+        Tries ``8, 16, ..., 2**59``: the sweep always reaches past ``P = 4``.
+        """
+        hi = 8.0
+        for _ in range(57):
             ps = np.linspace(hi / 2, hi, 64)
-            if np.all(self._curve.lhs(ps) < 0.0) and hi > 4.0:
+            if np.all(self._curve.lhs(ps) < 0.0):
                 return hi
             hi *= 2.0
         raise RuntimeError(
@@ -106,14 +116,27 @@ class FeasibleRegion:
     def sweep(
         self, p_min: float | None = None, p_max: float | None = None, n: int | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Return ``(P grid, G(P))`` — the Figure 4 series."""
+        """Return ``(P grid, G(P))`` — the Figure 4 series.
+
+        With no arguments this is the default sweep (``grid`` points up to
+        :attr:`p_max`), computed once per region and returned as read-only
+        arrays.
+        """
+        default = p_min is None and p_max is None and n is None
+        if default and self._default_sweep is not None:
+            return self._default_sweep
         lo = p_min if p_min is not None else self._p_max / self._grid
         hi = p_max if p_max is not None else self._p_max
         check_positive("p_min", lo)
         if hi <= lo:
             raise ValueError(f"empty sweep range [{lo}, {hi}]")
         ps = np.linspace(lo, hi, n or self._grid)
-        return ps, np.asarray(self._curve.lhs(ps))
+        g = np.asarray(self._curve.lhs(ps))
+        if default:
+            ps.flags.writeable = False
+            g.flags.writeable = False
+            self._default_sweep = (ps, g)
+        return ps, g
 
     # -- queries ------------------------------------------------------------------
 
@@ -139,13 +162,10 @@ class FeasibleRegion:
         else:
             i = int(np.nonzero(ok)[0][-1])
             if i == len(ps) - 1:
-                # G still >= otot at the sweep end — expand.
-                wider = FeasibleRegion(
-                    self._curve.partition,
-                    self._curve.algorithm,
-                    p_max=self._p_max * 2,
-                    grid=self._grid,
-                )
+                # G still >= otot at the sweep end — expand, on the same curve.
+                wider = copy.copy(self)
+                wider._p_max = self._p_max * 2
+                wider._default_sweep = None
                 return wider.max_feasible_period(otot, tol=tol)
             lo, hi = float(ps[i]), float(ps[i + 1])
         # Bisection: G(lo) >= otot > G(hi).

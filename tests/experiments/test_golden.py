@@ -15,13 +15,14 @@ import hashlib
 
 import pytest
 
+from repro.analysis import kernels
 from repro.experiments import (
     compute_figure4_points,
     compute_table2,
     figure4_specs,
     table2_specs,
 )
-from repro.runner import run_campaign, stream_campaign
+from repro.runner import points, run_campaign, stream_campaign
 
 
 def digest(text: str) -> str:
@@ -33,6 +34,19 @@ FIGURE4_DIGEST = "dbc33d8f7f6b782383ba9b62064c6b8cd08f4228bbd08ab2aaa153b616283f
 
 
 class TestGoldenDigests:
+    """The digests with the fast integer kernels on."""
+
+    FAST_KERNELS = True
+
+    @pytest.fixture(autouse=True)
+    def _kernel_setting(self):
+        # The paper-partition regions are cached per process; drop them so
+        # each setting builds (and is checked on) its own.
+        points._paper_region.cache_clear()
+        with kernels.kernels_forced(self.FAST_KERNELS):
+            yield
+        points._paper_region.cache_clear()
+
     def test_table2_campaign_digest(self):
         text = run_campaign(table2_specs(), workers=1, master_seed=0).to_json()
         assert digest(text) == TABLE2_DIGEST
@@ -58,6 +72,12 @@ class TestGoldenDigests:
             figure4_specs(), workers=1, master_seed=0, batch_size=2
         ).to_json()
         assert digest(text) == FIGURE4_DIGEST
+
+
+class TestGoldenDigestsFloatFallback(TestGoldenDigests):
+    """The same digests with the kernels off: the float fallback, RM included."""
+
+    FAST_KERNELS = False
 
 
 class TestGoldenNumbers:
