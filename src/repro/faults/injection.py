@@ -158,9 +158,9 @@ def _aggregate(result: MulticoreResult, injected: int) -> FaultCampaignResult:
         outcomes[rec.outcome] += 1
         slot = by_mode.setdefault(rec.mode, {o: 0 for o in FaultOutcome})
         slot[rec.outcome] += 1
-    ft_misses = sum(
-        1 for e in result.misses if e.who.split("#")[0] in _ft_tasks(result)
-    )
+    misses = result.misses
+    ft_tasks = _ft_tasks(result)
+    ft_misses = sum(1 for e in misses if e.who.split("#")[0] in ft_tasks)
     return FaultCampaignResult(
         injected=injected,
         outcomes=outcomes,
@@ -168,7 +168,7 @@ def _aggregate(result: MulticoreResult, injected: int) -> FaultCampaignResult:
         corrupted_jobs=tuple(result.corrupted_jobs()),
         aborted_jobs=tuple(result.aborted_jobs()),
         ft_misses=ft_misses,
-        total_misses=result.miss_count,
+        total_misses=len(misses),
         records=tuple(result.fault_records),
         simulation=result,
     )

@@ -21,7 +21,7 @@ from typing import Sequence
 
 from repro.model import Job, JobState, TaskSet
 from repro.sim.scheduler import SchedulingPolicy, make_policy
-from repro.sim.trace import ExecutionSlice, SimEventKind, SimTrace
+from repro.sim.trace import EVENT_ORDER, ExecutionSlice, SimEventKind, SimTrace
 from repro.sim.uniproc import merge_windows
 from repro.util import EPS, check_positive
 
@@ -189,5 +189,5 @@ def simulate_global(
                 job.absolute_deadline, SimEventKind.DEADLINE_MISS, job.name,
                 detail=f"unfinished at horizon (remaining={job.remaining:g})",
             )
-    trace.events.sort(key=lambda e: (e.time, e.kind.value, e.who))
+    trace.events.sort(key=EVENT_ORDER)
     return GlobalSimResult(m, jobs, trace)

@@ -48,6 +48,14 @@ class Job:
     corrupted:
         True when a fault hit the job in NF mode and its output is silently
         wrong (the paper's "unpredictable behaviour" in NF mode).
+    name:
+        Readable identifier ``task#index``.
+    absolute_deadline:
+        ``release + D_i``.
+
+    ``name`` and ``absolute_deadline`` are derived once, when the job is
+    created: the simulator reads them at every scheduling step, and a job's
+    task, release and index never change.
     """
 
     task: Task
@@ -57,20 +65,14 @@ class Job:
     state: JobState = JobState.READY
     completion_time: float | None = None
     corrupted: bool = False
+    name: str = field(init=False, repr=False, compare=False)
+    absolute_deadline: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.remaining is None:
             self.remaining = self.task.wcet
-
-    @property
-    def name(self) -> str:
-        """Readable identifier ``task#index``."""
-        return f"{self.task.name}#{self.index}"
-
-    @property
-    def absolute_deadline(self) -> float:
-        """``release + D_i``."""
-        return self.release + self.task.deadline
+        self.name = f"{self.task.name}#{self.index}"
+        self.absolute_deadline = self.release + self.task.deadline
 
     @property
     def is_active(self) -> bool:

@@ -3,9 +3,10 @@
 Turns a :class:`~repro.core.config.SlotSchedule` into the concrete timeline
 of Figure 2 — for every major cycle, each mode's usable window, the
 switch-out overhead window at the slot tail, and any idle reserve at the end
-of the cycle. The multicore simulator consumes these segments; the fault
-layer uses :meth:`ModeSwitchController.segment_at` to find what the platform
-was doing at an arbitrary fault instant.
+of the cycle. The multicore simulator consumes each mode's usable windows
+(:meth:`ModeSwitchController.usable_windows`); the fault layer uses
+:meth:`ModeSwitchController.segment_at` to find what the platform was doing
+at an arbitrary fault instant.
 """
 
 from __future__ import annotations
@@ -104,12 +105,35 @@ class ModeSwitchController:
             base = cycle * period
 
     def usable_windows(self, mode: Mode, horizon: float) -> list[tuple[float, float]]:
-        """The mode's usable windows within ``[0, horizon)`` (simulator input)."""
-        return [
-            (s.start, s.end)
-            for s in self.segments(horizon)
-            if s.kind is SegmentKind.USABLE and s.mode is mode
-        ]
+        """The mode's usable windows within ``[0, horizon)`` (simulator input).
+
+        Exactly the ``(start, end)`` of the mode's usable :meth:`segments`,
+        read off the cycle template without building them: the same
+        ``cycle * period + rel`` arithmetic and the same ``horizon - EPS``
+        cut. :meth:`segments` stops a cycle at its first entry that starts
+        past the cut, so an entry is kept only while every entry up to it
+        starts before the cut; ``gate`` is the latest of those starts.
+        """
+        check_positive("horizon", horizon)
+        period = self._schedule.period
+        cut = horizon - EPS
+        entries = []
+        gate = float("-inf")
+        for rel_a, rel_b, kind, m in self._template:
+            gate = max(gate, rel_a)
+            if kind is SegmentKind.USABLE and m is mode:
+                entries.append((gate, rel_a, rel_b))
+        windows: list[tuple[float, float]] = []
+        cycle = 0
+        base = 0.0
+        while base < cut:
+            for gate, rel_a, rel_b in entries:
+                if base + gate >= cut:
+                    break
+                windows.append((base + rel_a, min(base + rel_b, horizon)))
+            cycle += 1
+            base = cycle * period
+        return windows
 
     def segment_at(self, t: float) -> Segment:
         """The segment containing time ``t >= 0``.

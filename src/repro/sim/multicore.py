@@ -3,7 +3,8 @@
 :class:`MulticoreSim` executes a designed platform end-to-end:
 
 1. the :class:`~repro.platform.switcher.ModeSwitchController` expands the
-   slot schedule into per-mode usable windows;
+   slot schedule into per-mode usable windows, one walk of the cycle
+   template per mode;
 2. a deterministic :class:`~repro.sim.events.EventQueue` is drained:
    every task arrives at t=0 (offline is the event core's special case)
    and injected faults are strike events, classified through the checker
@@ -12,9 +13,17 @@
 3. every logical processor of every mode runs its partition bin with the
    local scheduler inside its windows — fail-silent faults black out the
    remainder of the silenced channel's slot and abort the running job;
-4. NF corruptions are resolved against the execution trace (the victim is
-   whatever job occupied the core at the fault instant);
-5. results are aggregated into deadline, response-time and fault statistics.
+4. fault victims are resolved against the execution trace: an NF
+   corruption hits whatever job occupied the core at the fault instant
+   (a bisection over the processor's slices), a silenced fault the job its
+   abort killed (each processor's abort events are collected once);
+5. every processor's events, in processor order, and then the fault events
+   are sorted once, stably, into the run's trace; results are aggregated
+   into deadline, response-time and fault statistics.
+
+A run's cost follows its events: cycles × windows for the timeline, one
+uniprocessor step per release, completion, abort or window edge, and one
+sort of the merged trace.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ from repro.platform.modes import layout_for
 from repro.platform.switcher import ModeSwitchController, SegmentKind
 from repro.sim.events import EventKind, EventQueue
 from repro.sim.scheduler import make_policy
-from repro.sim.trace import SimEventKind, SimTrace
+from repro.sim.trace import EVENT_ORDER, SimEvent, SimEventKind, SimTrace
 from repro.sim.uniproc import (
     UniprocResult,
     simulate_uniproc,
@@ -298,7 +307,6 @@ class MulticoreSim:
                 )
 
         # 2. run every logical processor on the tasks the drain delivered
-        merged = SimTrace(horizon)
         processors: dict[str, UniprocResult] = {}
         for mode in Mode:
             windows = self._controller.usable_windows(mode, horizon)
@@ -321,10 +329,18 @@ class MulticoreSim:
                     abort_events=aborts.get((mode, idx), ()),
                 )
                 processors[key] = result
-                merged.merge(result.trace)
+        # Every processor's events in processor order, then the fault events
+        # below, sorted once at the end. The sort is stable, so events with
+        # equal keys keep this order: the order that merging the traces one
+        # by one and then logging the faults gave.
+        merged = SimTrace(horizon)
+        for res in processors.values():
+            merged.slices.extend(res.trace.slices)
+            merged.events.extend(res.trace.events)
 
         # 3. resolve fault victims against the executed trace
         final_records: list[FaultRecord] = []
+        abort_log: dict[str, list[SimEvent]] = {}
         for rec in records:
             victim = None
             if (
@@ -353,13 +369,15 @@ class MulticoreSim:
                                 j.corrupted = True
                                 break
                 elif rec.outcome is FaultOutcome.SILENCED:
-                    aborted_names = {j.name for j in res.aborted}
                     # The victim is the job the abort event killed at this time.
-                    for e in res.trace.events_of(SimEventKind.ABORT):
+                    if rec.processor not in abort_log:
+                        abort_log[rec.processor] = res.trace.events_of(
+                            SimEventKind.ABORT
+                        )
+                    for e in abort_log[rec.processor]:
                         if abs(e.time - rec.fault.time) <= EPS:
                             victim = e.who
                             break
-                    victim = victim if victim in aborted_names or victim else None
             if victim is not None:
                 rec = FaultRecord(
                     rec.fault, rec.outcome, rec.mode, rec.processor,
@@ -373,7 +391,7 @@ class MulticoreSim:
                 detail=f"{rec.outcome}"
                 + (f" victim={rec.victim}" if rec.victim else ""),
             )
-        merged.events.sort(key=lambda e: (e.time, e.kind.value, e.who))
+        merged.events.sort(key=EVENT_ORDER)
         return MulticoreResult(
             horizon=horizon,
             schedule=self._schedule,

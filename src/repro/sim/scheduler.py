@@ -13,7 +13,8 @@ import abc
 from typing import Mapping, Sequence
 
 from repro.analysis import priority_order
-from repro.model import Job, Task, TaskSet
+from repro.model import Job, JobState, Task, TaskSet
+from repro.util import EPS
 
 
 class SchedulingPolicy(abc.ABC):
@@ -48,12 +49,10 @@ class FixedPriorityPolicy(SchedulingPolicy):
             raise KeyError(f"task {task_name!r} has no assigned priority") from None
 
     def select(self, jobs: Sequence[Job]) -> Job | None:
-        active = [j for j in jobs if j.is_active]
-        if not active:
-            return None
         return min(
-            active,
+            (j for j in jobs if j.is_active),
             key=lambda j: (self.rank_of(j.task.name), j.release, j.task.name),
+            default=None,
         )
 
 
@@ -63,13 +62,21 @@ class EDFPolicy(SchedulingPolicy):
     name = "EDF"
 
     def select(self, jobs: Sequence[Job]) -> Job | None:
-        active = [j for j in jobs if j.is_active]
-        if not active:
-            return None
-        return min(
-            active,
-            key=lambda j: (j.absolute_deadline, j.release, j.task.name),
-        )
+        # The first active job with the least key, as min() would pick it;
+        # keys are only built to break a deadline tie.
+        best = None
+        for j in jobs:
+            if j.state is not JobState.READY or j.remaining <= EPS:
+                continue  # not j.is_active
+            if best is None:
+                best = j
+                continue
+            d, best_d = j.absolute_deadline, best.absolute_deadline
+            if d < best_d or (
+                d == best_d and (j.release, j.task.name) < (best.release, best.task.name)
+            ):
+                best = j
+        return best
 
 
 def make_policy(taskset: TaskSet, algorithm: str) -> SchedulingPolicy:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -36,6 +37,14 @@ class SimEvent:
     def __repr__(self) -> str:
         extra = f" ({self.detail})" if self.detail else ""
         return f"[{self.time:10.4f}] {self.kind:<14} {self.who}{extra}"
+
+
+#: Sort key of every trace's events: time, then kind, then who. It reads the
+#: kind's ``_value_`` slot, which is what the ``value`` property returns, so
+#: the order is the ``(e.time, e.kind.value, e.who)`` order without a
+#: property call per event. Sorts with it are stable: events with equal keys
+#: keep their insertion order.
+EVENT_ORDER = operator.attrgetter("time", "kind._value_", "who")
 
 
 @dataclass(frozen=True)
@@ -111,7 +120,7 @@ class SimTrace:
         """Fold another trace into this one (events re-sorted by time)."""
         self.slices.extend(other.slices)
         self.events.extend(other.events)
-        self.events.sort(key=lambda e: (e.time, e.kind.value, e.who))
+        self.events.sort(key=EVENT_ORDER)
 
     # -- rendering ------------------------------------------------------------------
 

@@ -9,6 +9,13 @@ combined with pre-blacked-out windows.
 Job releases follow the synchronous periodic pattern (``k T_i + offset``) —
 the worst case the analysis assumes; per-task release offsets allow the
 validation layer to align the critical instant with a slot blackout.
+
+The loop advances from event to event: a window edge, a release, an abort
+or the running job's completion. One step admits the releases due, logs
+the misses of ready jobs past their deadline, asks the policy for a job and
+runs it to the next event, so its cost is the ready set plus one policy
+call. Completed jobs leave the ready set when they complete and aborted
+jobs when the abort fires, so the ready set only ever holds ``READY`` jobs.
 """
 
 from __future__ import annotations
@@ -19,7 +26,13 @@ from typing import Mapping, Sequence
 
 from repro.model import Job, JobState, TaskSet
 from repro.sim.scheduler import SchedulingPolicy
-from repro.sim.trace import ExecutionSlice, SimEvent, SimEventKind, SimTrace
+from repro.sim.trace import (
+    EVENT_ORDER,
+    ExecutionSlice,
+    SimEvent,
+    SimEventKind,
+    SimTrace,
+)
 from repro.util import EPS, check_positive
 
 
@@ -27,29 +40,57 @@ def merge_windows(
     windows: Sequence[tuple[float, float]], horizon: float
 ) -> list[tuple[float, float]]:
     """Sort, clip to ``[0, horizon)`` and merge touching windows."""
-    ws = sorted(
-        (max(float(a), 0.0), min(float(b), horizon))
-        for a, b in windows
-        if min(b, horizon) - max(a, 0.0) > EPS
-    )
-    merged: list[list[float]] = []
+    # max(x, 0.0) and min(x, horizon), spelled out: the builtins return
+    # their first argument unless the second compares strictly past it.
+    ws = []
+    for a, b in windows:
+        if (horizon if horizon < b else b) - (0.0 if 0.0 > a else a) > EPS:
+            a, b = float(a), float(b)
+            ws.append((0.0 if 0.0 > a else a, horizon if horizon < b else b))
+    ws.sort()
+    merged: list[tuple[float, float]] = []
     for a, b in ws:
         if merged and a <= merged[-1][1] + EPS:
-            merged[-1][1] = max(merged[-1][1], b)
+            start, end = merged[-1]
+            merged[-1] = (start, max(end, b))
         else:
-            merged.append([a, b])
-    return [(a, b) for a, b in merged]
+            merged.append((a, b))
+    return merged
 
 
 def subtract_blackouts(
     windows: Sequence[tuple[float, float]],
     blackouts: Sequence[tuple[float, float]],
 ) -> list[tuple[float, float]]:
-    """Remove blackout intervals (e.g. silenced-channel time) from windows."""
+    """Remove blackout intervals (e.g. silenced-channel time) from windows.
+
+    Each window is cut by every blackout that overlaps it, in the blackouts'
+    given order; pieces of ``EPS`` length or less are dropped. A blackout
+    that does not overlap a window cannot cut any piece of it, so a sweep
+    over the windows by start, with the blackouts opened by start and
+    closed once they end before a window, finds each window's cutters
+    without testing every pair.
+    """
+    if not blackouts:
+        return [(a, b) for a, b in windows if b - a > EPS]
+    by_start = sorted(range(len(blackouts)), key=lambda k: blackouts[k][0])
+    opened = 0
+    live: list[int] = []
+    cutters: list[list[int]] = [[] for _ in windows]
+    for w in sorted(range(len(windows)), key=lambda w: windows[w][0]):
+        a, b = windows[w]
+        while opened < len(by_start) and blackouts[by_start[opened]][0] < b - EPS:
+            live.append(by_start[opened])
+            opened += 1
+        # Windows come by start, so a blackout over before this one starts
+        # is over before every later one starts too.
+        live = [k for k in live if blackouts[k][1] > a + EPS]
+        cutters[w] = sorted(k for k in live if blackouts[k][0] < b - EPS)
     out: list[tuple[float, float]] = []
-    for a, b in windows:
+    for (a, b), cuts in zip(windows, cutters):
         pieces = [(a, b)]
-        for ba, bb in blackouts:
+        for k in cuts:
+            ba, bb = blackouts[k]
             next_pieces: list[tuple[float, float]] = []
             for pa, pb in pieces:
                 if bb <= pa + EPS or ba >= pb - EPS:
@@ -112,11 +153,17 @@ class UniprocResult:
         return max(rts) if rts else None
 
     def job_running_at(self, t: float) -> str | None:
-        """Job name executing at instant ``t`` (None when idle)."""
-        for s in self.trace.slices:
-            if s.start - EPS <= t < s.end - EPS:
-                return s.job
-        return None
+        """Job name executing at instant ``t`` (None when idle).
+
+        The first slice with ``start - EPS <= t < end - EPS``. Slices are in
+        time order and do not overlap, so both bounds grow along the list:
+        the slices passing the first test are a prefix, those passing the
+        second a suffix, and two bisections find the first slice in both.
+        """
+        slices = self.trace.slices
+        first = bisect.bisect_right(slices, t, key=lambda s: s.end - EPS)
+        started = bisect.bisect_right(slices, t, key=lambda s: s.start - EPS)
+        return slices[first].job if first < started else None
 
 
 def simulate_uniproc(
@@ -176,97 +223,113 @@ def simulate_uniproc(
             k += 1
     releases.sort(key=lambda p: (p[0], p[1].task.name))
     release_times = [r for r, _ in releases]
+    n_releases, n_aborts = len(releases), len(aborts)
 
+    READY = JobState.READY
+    RELEASE, COMPLETION = SimEventKind.RELEASE, SimEventKind.COMPLETION
+    MISS, ABORT = SimEventKind.DEADLINE_MISS, SimEventKind.ABORT
+    select = policy.select
+    slices, events = trace.slices, trace.events
     ready: list[Job] = []
     missed: set[str] = set()
     rel_idx = 0
     abort_idx = 0
 
-    def admit_releases(now: float) -> int:
-        """Move released jobs into the ready set; return new index."""
-        nonlocal rel_idx
-        while rel_idx < len(releases) and release_times[rel_idx] <= now + EPS:
-            r, job = releases[rel_idx]
-            ready.append(job)
-            trace.log(r, SimEventKind.RELEASE, job.name)
-            rel_idx += 1
-        return rel_idx
-
-    def check_misses(now: float) -> None:
-        """Log (once) every active job whose deadline has passed."""
-        for job in ready:
-            if (
-                job.is_active
-                and job.absolute_deadline < now - EPS
-                and job.name not in missed
-            ):
-                missed.add(job.name)
-                trace.log(
-                    job.absolute_deadline,
-                    SimEventKind.DEADLINE_MISS,
-                    job.name,
-                    detail=f"remaining={job.remaining:g}",
-                )
-
-    def next_release_after(now: float) -> float:
-        i = rel_idx
-        return release_times[i] if i < len(releases) else float("inf")
-
-    def consume_aborts(now: float, running: Job | None) -> None:
-        """Fire abort events at ``now`` (kill the running job, if any)."""
-        nonlocal abort_idx
-        while abort_idx < len(aborts) and aborts[abort_idx] <= now + EPS:
-            t = aborts[abort_idx]
-            abort_idx += 1
-            if running is not None and running.is_active:
-                running.abort()
-                trace.log(t, SimEventKind.ABORT, running.name, detail="channel silenced")
-                running = None
-
     for win_a, win_b in windows:
         now = win_a
-        while now < win_b - EPS:
+        close = win_b - EPS
+        while now < close:
+            soon = now + EPS
             # Aborts at or before `now` hit an idle (or already handled)
             # instant — consume them harmlessly so a stale abort can never
             # kill a job that starts later.
-            consume_aborts(now, None)
-            admit_releases(now)
-            check_misses(now)
-            job = policy.select(ready)
-            nr = next_release_after(now)
-            na = aborts[abort_idx] if abort_idx < len(aborts) else float("inf")
-            boundary = min(win_b, nr, na)
-            if job is None:
-                if boundary >= win_b - EPS:
-                    break  # idle until the window closes
-                now = boundary
-                continue
-            run_until = min(boundary, now + job.remaining)
-            if run_until > now + EPS:
-                job.execute(run_until - now)
-                trace.add_slice(
-                    ExecutionSlice(processor, job.name, job.task.name, now, run_until)
-                )
-            if not job.is_active and job.state is JobState.READY:
-                job.complete(run_until)
-                trace.log(run_until, SimEventKind.COMPLETION, job.name)
+            while abort_idx < n_aborts and aborts[abort_idx] <= soon:
+                abort_idx += 1
+            while rel_idx < n_releases and release_times[rel_idx] <= soon:
+                r, job = releases[rel_idx]
+                ready.append(job)
+                events.append(SimEvent(r, RELEASE, job.name))
+                rel_idx += 1
+            # Log (once) every active job whose deadline has passed.
+            late = now - EPS
+            for job in ready:
                 if (
-                    run_until > job.absolute_deadline + EPS
+                    job.absolute_deadline < late
+                    and job.remaining > EPS
                     and job.name not in missed
                 ):
                     missed.add(job.name)
-                    trace.log(
-                        job.absolute_deadline,
-                        SimEventKind.DEADLINE_MISS,
-                        job.name,
-                        detail=f"completed late at {run_until:g}",
+                    events.append(
+                        SimEvent(
+                            job.absolute_deadline, MISS, job.name,
+                            f"remaining={job.remaining:g}",
+                        )
+                    )
+            # An empty ready set selects nothing (the policy contract).
+            job = select(ready) if ready else None
+            boundary = win_b
+            if rel_idx < n_releases and release_times[rel_idx] < boundary:
+                boundary = release_times[rel_idx]
+            if abort_idx < n_aborts and aborts[abort_idx] < boundary:
+                boundary = aborts[abort_idx]
+            if job is None:
+                if boundary >= close:
+                    break  # idle until the window closes
+                now = boundary
+                continue
+            # min() spelled out: ties return the same value either way.
+            remaining = job.remaining
+            run_until = now + remaining
+            if boundary <= run_until:
+                run_until = boundary
+            if run_until > soon:
+                # Job.execute, inlined.
+                used = run_until - now
+                remaining -= remaining if remaining < used else used
+                job.remaining = remaining = 0.0 if remaining <= EPS else remaining
+                name = job.name
+                # SimTrace.add_slice, inlined: every slice here is this
+                # processor's, so only the job and the gap are compared.
+                prev = slices[-1] if slices else None
+                if prev is not None and prev.job == name and abs(prev.end - now) <= EPS:
+                    slices[-1] = ExecutionSlice(
+                        processor, name, prev.task, prev.start, run_until
+                    )
+                else:
+                    slices.append(
+                        ExecutionSlice(processor, name, job.task.name, now, run_until)
+                    )
+            if remaining <= EPS and job.state is READY:
+                name = job.name
+                job.complete(run_until)
+                events.append(SimEvent(run_until, COMPLETION, name))
+                if run_until > job.absolute_deadline + EPS and name not in missed:
+                    missed.add(name)
+                    events.append(
+                        SimEvent(
+                            job.absolute_deadline, MISS, name,
+                            f"completed late at {run_until:g}",
+                        )
                     )
                 ready.remove(job)
             now = run_until
             # The abort at `run_until` (if that is why we stopped) kills the
             # job that was just executing, provided it is still active.
-            consume_aborts(now, job if job.state is JobState.READY else None)
-            ready[:] = [j for j in ready if j.state is JobState.READY]
+            soon = now + EPS
+            if abort_idx < n_aborts and aborts[abort_idx] <= soon:
+                victim = job if job.is_active else None
+                while abort_idx < n_aborts and aborts[abort_idx] <= soon:
+                    if victim is not None:
+                        victim.abort()
+                        events.append(
+                            SimEvent(
+                                aborts[abort_idx], ABORT, victim.name,
+                                "channel silenced",
+                            )
+                        )
+                        ready.remove(victim)
+                        victim = None
+                    abort_idx += 1
     # Horizon post-pass: unfinished jobs whose deadline lies inside the horizon.
     for job in jobs:
         if (
@@ -282,5 +345,5 @@ def simulate_uniproc(
                 job.name,
                 detail=f"unfinished at horizon (remaining={job.remaining:g})",
             )
-    trace.events.sort(key=lambda e: (e.time, e.kind.value, e.who))
+    events.sort(key=EVENT_ORDER)
     return UniprocResult(processor, jobs, trace)

@@ -100,3 +100,38 @@ class TestExplicitFaults:
         assert res.simulation.horizon == pytest.approx(
             paper_config_b.period * 20
         )
+
+
+class TestMissAccounting:
+    """``ft_misses`` counts only the FT tasks' deadline misses.
+
+    P = 4 with FT served in ``[0, 1)`` and NF in ``[1, 2)`` of every cycle,
+    no overheads, over a 16-unit horizon (four cycles). The FT task needs 3
+    units per 8 but gets 1 per 4: ``ft#0`` has 2 units by its deadline at 8
+    and completes late at 9, and ``ft#1`` gets only ``[12, 13)`` before its
+    deadline at 16. The NF task needs 2 units per 4 but gets 1: all four of
+    its jobs (deadlines 4, 8, 12, 16) miss. By hand: 2 FT misses of 6.
+    """
+
+    @pytest.fixture
+    def starved(self):
+        from repro.core import PlatformConfig, SlotSchedule
+        from repro.model import Task, TaskSet
+        from repro.model.partitioned import partition_from_names
+
+        ts = TaskSet([Task("ft", 3.0, 8.0, mode=Mode.FT), Task("nf", 2.0, 4.0)])
+        part = partition_from_names(ts, {Mode.FT: [["ft"]], Mode.NF: [["nf"]]})
+        config = PlatformConfig(SlotSchedule(4.0, {Mode.FT: 1.0, Mode.NF: 1.0}), "EDF")
+        return FaultCampaign(part, config).run(horizon=16.0, faults=[Fault(1.5, 2)])
+
+    def test_ft_misses_hand_count(self, starved):
+        assert starved.ft_misses == 2
+        assert starved.total_misses == 6
+        assert 0 < starved.ft_misses < starved.total_misses
+
+    def test_counts_match_the_miss_events(self, starved):
+        misses = starved.simulation.misses
+        assert sorted(e.who for e in misses) == [
+            "ft#0", "ft#1", "nf#0", "nf#1", "nf#2", "nf#3",
+        ]
+        assert starved.total_misses == starved.simulation.miss_count

@@ -85,3 +85,46 @@ def test_jobs_never_execute_before_release_or_after_completion(ts):
         assert s.start >= j.release - 1e-9
         if j.completion_time is not None:
             assert s.end <= j.completion_time + 1e-9
+
+
+_half = st.integers(min_value=-2, max_value=60).map(lambda k: k / 2.0)
+
+
+@st.composite
+def fault_shaped_cases(draw):
+    """A task set with windows, blackouts, aborts and offsets on one grid.
+
+    Windows may touch, overlap and come unsorted; aborts land on window
+    edges, inside blackouts and twice at one instant.
+    """
+    alg = draw(st.sampled_from(["EDF", "RM", "DM"]))
+    tasks = []
+    for i in range(draw(st.integers(min_value=1, max_value=4))):
+        period = float(draw(st.integers(min_value=2, max_value=12)))
+        deadline = period
+        if alg == "DM":
+            deadline = float(draw(st.integers(min_value=1, max_value=int(period))))
+        wcet = min(draw(st.integers(min_value=1, max_value=8)) / 4.0, deadline)
+        tasks.append(Task(f"t{i}", wcet, period, deadline=deadline))
+    pairs = st.tuples(_half, st.integers(min_value=-1, max_value=8).map(lambda k: k / 2.0))
+    windows = [(a, a + w) for a, w in draw(st.lists(pairs, min_size=1, max_size=10))]
+    blackouts = [(a, a + w) for a, w in draw(st.lists(pairs, max_size=5))]
+    edges = [t for w in windows + blackouts for t in w]
+    aborts = draw(st.lists(st.one_of(_half, st.sampled_from(edges)), max_size=6))
+    aborts += aborts[:1]
+    offsets = draw(st.dictionaries(st.sampled_from([t.name for t in tasks]), _half.filter(lambda x: x >= 0)))
+    horizon = float(draw(st.integers(min_value=4, max_value=30)))
+    return TaskSet(tasks), alg, windows, blackouts, aborts, offsets, horizon
+
+
+@given(fault_shaped_cases())
+@settings(max_examples=150, deadline=None)
+def test_uniproc_equals_the_loop_it_replaced(case):
+    from tests.sim.test_hot_path_equivalence import run_both, uniproc_state
+
+    ts, alg, windows, blackouts, aborts, offsets, horizon = case
+    new, old = run_both(
+        ts, alg, windows, horizon, blackouts=blackouts,
+        abort_events=aborts, release_offsets=offsets,
+    )
+    assert uniproc_state(new) == uniproc_state(old)
