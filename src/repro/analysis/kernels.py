@@ -62,6 +62,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -95,10 +96,19 @@ def _env_enabled() -> bool:
 
 _enabled: bool = _env_enabled()
 
-#: Per-process kernel selection counters (fast path taken vs fallback).
-#: Pool workers count locally; the engine ships per-batch deltas back and
-#: the campaign stats line reports the aggregate share.
-_counters = {"fast": 0, "fallback": 0}
+
+class _Counters(threading.local):
+    """Kernel selection counters (fast path taken vs fallback), per thread:
+    ``repro serve`` runs each campaign on its own thread. Pool workers count
+    locally; the engine ships per-batch deltas back and the campaign stats
+    line reports the aggregate share.
+    """
+
+    def __init__(self) -> None:
+        self.counts = {"fast": 0, "fallback": 0}
+
+
+_counters = _Counters()
 
 
 def fast_kernels_enabled() -> bool:
@@ -138,24 +148,24 @@ class kernels_forced:
 
 def note_selection(fast: bool) -> None:
     """Record one kernel selection (entry points call this once per call)."""
-    _counters["fast" if fast else "fallback"] += 1
+    _counters.counts["fast" if fast else "fallback"] += 1
     telemetry.count("kernels.fast" if fast else "kernels.fallback")
 
 
 def kernel_counters() -> dict[str, int]:
-    """Snapshot of this process's selection counters."""
-    return dict(_counters)
+    """Snapshot of this thread's selection counters."""
+    return dict(_counters.counts)
 
 
 def counters_delta(before: dict[str, int]) -> dict[str, int]:
     """Counters accumulated since a :func:`kernel_counters` snapshot."""
-    return {key: _counters[key] - before.get(key, 0) for key in _counters}
+    counts = _counters.counts
+    return {key: counts[key] - before.get(key, 0) for key in counts}
 
 
 def reset_kernel_counters() -> None:
-    """Zero the selection counters (tests)."""
-    for key in _counters:
-        _counters[key] = 0
+    """Zero this thread's selection counters (tests)."""
+    _counters.counts = {"fast": 0, "fallback": 0}
 
 
 @dataclass(frozen=True)

@@ -53,7 +53,6 @@ from repro.runner.engine import (
     MAX_AUTO_BATCH,
     CampaignError,
     CampaignResult,
-    CampaignStats,
     auto_batch_size,
     default_workers,
     evaluate_batch,
@@ -114,7 +113,6 @@ from repro.runner.stream import (
     StreamStats,
     check_snapshot_compat,
     fold_rows,
-    load_snapshot,
     save_snapshot,
     snapshot_dict,
     stream_campaign,
@@ -129,7 +127,6 @@ __all__ = [
     "Aggregator",
     "CampaignError",
     "CampaignResult",
-    "CampaignStats",
     "CategoricalCountAccumulator",
     "CurveAccumulator",
     "ExtremaAccumulator",
@@ -175,7 +172,6 @@ __all__ = [
     "grid_digest",
     "grid_specs",
     "histogram_metric",
-    "load_snapshot",
     "mean_metric",
     "merge_snapshot_files",
     "merge_snapshots",

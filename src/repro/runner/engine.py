@@ -31,7 +31,7 @@ import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping, TextIO
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, TextIO
 
 from repro import telemetry
 from repro.analysis import kernels
@@ -39,6 +39,9 @@ from repro.runner.grid import grid_specs
 from repro.runner.points import get_experiment
 from repro.runner.progress import ProgressReporter
 from repro.runner.spec import PointSpec, canonical_json, point_seed
+
+if TYPE_CHECKING:
+    from repro.runner.stream import StreamStats
 
 
 class CampaignError(RuntimeError):
@@ -49,39 +52,13 @@ class CampaignError(RuntimeError):
         self.spec = spec
 
 
-@dataclass(frozen=True)
-class CampaignStats:
-    """Bookkeeping of one engine run (not part of the deterministic output)."""
-
-    total: int
-    unique: int
-    computed: int
-    cached: int
-    errors: int
-    elapsed: float
-    workers: int
-    #: Points-per-task the engine resolved (the request, or the auto-sized
-    #: value) — informational, like ``workers``; results never depend on it.
-    batch_size: int = 1
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-safe mapping of every counter (tuples become lists)."""
-        from dataclasses import fields
-
-        out: dict[str, Any] = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            out[f.name] = list(value) if isinstance(value, tuple) else value
-        return out
-
-
 @dataclass
 class CampaignResult:
     """Results aligned one-to-one with the submitted specs."""
 
     specs: list[PointSpec]
     results: list[Any]
-    stats: CampaignStats
+    stats: StreamStats
 
     def rows(self) -> list[tuple[PointSpec, Any]]:
         """``(spec, result)`` pairs in submission order."""
@@ -196,28 +173,28 @@ def execute_points(
     todo: list[PointSpec],
     workers: int,
     master_seed: int,
-    finish_batch: "Callable[[list[tuple[PointSpec, bool, Any, float]]], None]",
+    finish_batch: Callable[
+        [list[tuple[PointSpec, bool, Any, float]], Mapping[str, int] | None], None
+    ],
     on_abort: "Callable[[], None] | None" = None,
     batch_size: int | None = None,
-    kernel_totals: "dict[str, int] | None" = None,
 ) -> int:
     """Evaluate ``todo`` sequentially or via a process pool, in batches.
 
     The shared execution core of :func:`run_campaign` and
-    :func:`repro.runner.stream.stream_campaign`: calls
-    ``finish_batch([(spec, ok, result, elapsed), ...])`` as each batch
-    completes (any batch order in pool mode; batch-internal order is
-    submission order). ``batch_size=None`` auto-sizes via
-    :func:`auto_batch_size`; returns the effective batch size. If
-    ``finish_batch`` raises :class:`CampaignError`, queued batches are
-    cancelled and ``on_abort`` runs before the error propagates — both
+    :func:`repro.runner.stream.stream_campaign`: hands evaluated points
+    back through ``finish_batch([(spec, ok, result, elapsed), ...],
+    kernel_delta)`` (any batch order in pool mode; batch-internal order is
+    submission order). ``kernel_delta`` is the batch's fast/fallback
+    kernel-selection count (see :func:`repro.analysis.kernels.kernel_counters`)
+    on a batch's last hand-off and ``None`` on the others, so a caller
+    counts each batch once. Only inline execution hands a batch over in
+    several parts: it surfaces a failing point at once. ``batch_size=None``
+    auto-sizes via :func:`auto_batch_size`; returns the effective batch
+    size. If ``finish_batch`` raises :class:`CampaignError`, queued batches
+    are cancelled and ``on_abort`` runs before the error propagates — both
     paths, so e.g. snapshot flushing behaves identically at any worker
     count.
-
-    ``kernel_totals`` (a ``{"fast": n, "fallback": n}`` dict) accumulates
-    the fast-kernel selection counts of every evaluated batch in place —
-    inline deltas and pool workers' per-batch deltas alike. Purely
-    informational bookkeeping: results never depend on it.
 
     Submission is windowed: at most ``workers *`` a small factor of
     batches are in flight at once, so the pending-future set stays O(
@@ -231,11 +208,6 @@ def execute_points(
     batches = [
         todo[i : i + batch_size] for i in range(0, len(todo), batch_size)
     ]
-    def note_kernels(delta: "Mapping[str, int]") -> None:
-        if kernel_totals is not None:
-            for key, value in delta.items():
-                kernel_totals[key] = kernel_totals.get(key, 0) + value
-
     recorder = telemetry.active()
 
     def note_batch(points: int, tdelta: "Mapping[str, Any] | None") -> None:
@@ -259,7 +231,7 @@ def execute_points(
                     telemetry.Telemetry() if recorder is not None else None
                 )
                 done: list[tuple[PointSpec, bool, Any, float]] = []
-                for spec in batch:
+                for position, spec in enumerate(batch, 1):
                     previous = telemetry.activate(collector) if collector else None
                     try:
                         outcome = evaluate_point(
@@ -269,20 +241,18 @@ def execute_points(
                         if collector is not None:
                             telemetry.activate(previous)
                     done.append((spec, *outcome))
-                    if not outcome[0]:
+                    if not outcome[0] and position < len(batch):
                         # Surface failures immediately: inline execution
                         # has no IPC to amortize, so an on_error="raise"
                         # campaign must abort without evaluating the rest
                         # of the batch first.
-                        finish_batch(done)
+                        finish_batch(done, None)
                         done = []
-                note_kernels(kernels.counters_delta(before))
                 if collector is not None:
                     inline_delta = collector.export()
                     inline_delta["cpu_seconds"] = 0.0
                     note_batch(len(batch), inline_delta)
-                if done:
-                    finish_batch(done)
+                finish_batch(done, kernels.counters_delta(before))
         except CampaignError:
             if on_abort is not None:
                 on_abort()
@@ -315,7 +285,6 @@ def execute_points(
                 for future in done:
                     batch = pending.pop(future)
                     outcomes, kdelta, tdelta = future.result()
-                    note_kernels(kdelta)
                     note_batch(len(batch), tdelta)
                     finish_batch(
                         [
@@ -323,7 +292,8 @@ def execute_points(
                             for spec, (ok, result, elapsed) in zip(
                                 batch, outcomes
                             )
-                        ]
+                        ],
+                        kdelta,
                     )
                 top_up()
         except CampaignError:
@@ -391,7 +361,7 @@ def run_campaign(
     return CampaignResult(
         specs=streamed.specs,
         results=streamed.results,
-        stats=streamed.stats,  # StreamStats is-a (frozen) CampaignStats
+        stats=streamed.stats,
     )
 
 
@@ -413,7 +383,6 @@ __all__ = [
     "MAX_AUTO_BATCH",
     "CampaignError",
     "CampaignResult",
-    "CampaignStats",
     "auto_batch_size",
     "default_workers",
     "evaluate_batch",

@@ -157,9 +157,9 @@ class ShardManifest:
 def read_shard_snapshot(path: str | os.PathLike) -> dict[str, Any]:
     """Read and structurally validate one shard snapshot file.
 
-    Unlike :func:`repro.runner.stream.load_snapshot` (which treats a missing
-    or corrupt file as "start fresh"), a merge input that cannot be read is
-    an error — merging around it would silently drop a shard.
+    Unlike a campaign resume (which treats a missing or corrupt snapshot
+    as "start fresh"), a merge input that cannot be read is an error —
+    merging around it would silently drop a shard.
     """
     from repro.runner.stream import check_snapshot_compat  # late: avoid cycle
 

@@ -43,19 +43,15 @@ import json
 import os
 import time
 import warnings
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence, TextIO
 
 from repro import telemetry
 from repro.runner.aggregate import Aggregator
 from repro.runner.cache import ResultCache, atomic_write_text
-from repro.runner.engine import (
-    CampaignError,
-    CampaignStats,
-    default_workers,
-    execute_points,
-)
+from repro.runner.engine import CampaignError, default_workers, execute_points
 from repro.runner.points import get_experiment
 from repro.runner.progress import ProgressReporter
 from repro.runner.shard import ShardManifest, grid_digest, shard_of
@@ -145,10 +141,30 @@ _FLUSH_EVERY = 256
 
 
 @dataclass(frozen=True)
-class StreamStats(CampaignStats):
-    """Engine bookkeeping plus the streaming-specific counters."""
+class StreamStats:
+    """What one campaign run did (bookkeeping, not deterministic output).
 
+    Built once, at the end of the run, from the run's shape and its counter
+    record: the counters, keyed by these field names, that its ``on_delta``
+    payloads read while it is in flight. Counters cover owned points only;
+    another shard's planning points are evaluated but never counted.
+    """
+
+    total: int
+    unique: int
+    #: Owned points that succeeded: evaluated this run vs. cache hits.
+    computed: int = 0
+    cached: int = 0
+    #: Owned points that failed, evaluated or resumed.
+    errors: int = 0
+    elapsed: float = 0.0
+    workers: int = 1
+    #: Points-per-task the engine resolved (the request, or the auto-sized
+    #: value) — informational, like ``workers``; results never depend on it.
+    batch_size: int = 1
+    #: New folds into the output aggregate.
     folded: int = 0
+    #: Points whose outcome the resumed snapshot already held.
     skipped: int = 0
     #: Completed batches the engine handed back (0 when nothing computed).
     batches: int = 0
@@ -168,6 +184,14 @@ class StreamStats(CampaignStats):
     #: :mod:`repro.analysis.kernels`.
     kernel_fast: int = 0
     kernel_fallback: int = 0
+
+    def to_dict(self) -> dict[str, Any]:
+        """JSON-safe mapping of every counter (tuples become lists)."""
+        out: dict[str, Any] = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            out[f.name] = list(value) if isinstance(value, tuple) else value
+        return out
 
 
 @dataclass
@@ -214,97 +238,6 @@ def _timed_rounds(rounds: "Iterable[Sequence[PointSpec]]"):
 
 
 _ROUNDS_DONE = object()
-
-
-def _read_snapshot(path: Path) -> dict[str, Any] | None:
-    """Parse a snapshot file; None when missing, unreadable, or corrupt."""
-    try:
-        snap = json.loads(path.read_text())
-    except (OSError, ValueError):
-        return None
-    return snap if isinstance(snap, dict) else None
-
-
-def _validate_snapshot_core(
-    snap: Mapping[str, Any],
-    path: Path,
-    aggregator: Aggregator,
-    master_seed: int,
-) -> None:
-    """Schema/seed/config/partial checks shared by every resume path."""
-    check_snapshot_compat(snap, path)
-    if snap.get("master_seed") != master_seed:
-        raise SnapshotError(
-            f"snapshot {path} was built with master seed "
-            f"{snap.get('master_seed')!r}, not {master_seed}"
-        )
-    if snap.get("config") != aggregator.config_digest:
-        raise SnapshotError(
-            f"snapshot {path} does not match this aggregator's shape "
-            f"(config digest mismatch)"
-        )
-    if snap.get("partial"):
-        # A partial-merge preview (`repro merge --allow-partial`) unions
-        # several shards' folds under the trivial manifest; resuming a
-        # campaign from it would silently skip whole shards of points.
-        raise SnapshotError(
-            f"snapshot {path} is a partial-merge preview "
-            f"(missing shards {snap.get('missing_shards')}); previews "
-            f"cannot seed a campaign resume"
-        )
-
-
-def load_snapshot(
-    path: str | os.PathLike,
-    aggregator: Aggregator,
-    master_seed: int,
-    shard: ShardManifest | None = None,
-) -> tuple[set[str], set[str]]:
-    """Resume ``aggregator`` from a snapshot; returns (folded, failed) digests.
-
-    A missing or unreadable/corrupt snapshot starts fresh (empty sets); a
-    *readable* snapshot with a mismatched schema, master seed, or aggregator
-    shape raises :class:`SnapshotError` — silently dropping or merging an
-    incompatible aggregate would corrupt the resumed campaign.
-
-    When resuming a *sharded* campaign (``shard`` with ``count > 1``), the
-    snapshot's manifest must match the shard exactly — folding shard 1/3's
-    points into a snapshot claiming to be shard 2/3, or into a shard of a
-    different grid, would poison the eventual merge. Unsharded campaigns
-    stay permissive: extending a grid into an existing snapshot is the
-    documented incremental-resume path.
-
-    Snapshots written by a stateful point source (adaptive campaigns carry
-    a ``"source"`` key) are refused here: resuming one requires handing the
-    state back to the matching source, which only
-    :func:`stream_campaign` can do.
-    """
-    path = Path(path)
-    snap = _read_snapshot(path)
-    if snap is None:
-        return set(), set()
-    _validate_snapshot_core(snap, path, aggregator, master_seed)
-    if snap.get("source") is not None:
-        raise SnapshotError(
-            f"snapshot {path} was written by a "
-            f"{snap['source'].get('strategy', '?')!r} point source; resume "
-            f"it through stream_campaign with the matching source"
-        )
-    if shard is not None and shard.count > 1:
-        stored = snap.get("shard")
-        stored_key = (
-            (stored.get("index"), stored.get("count"), stored.get("grid"))
-            if isinstance(stored, dict)
-            else None
-        )
-        if stored_key != (shard.index, shard.count, shard.grid):
-            raise SnapshotError(
-                f"snapshot {path} belongs to a different shard or grid "
-                f"(have {stored_key}, resuming shard "
-                f"{shard.index}/{shard.count} of grid {shard.grid[:16]}…)"
-            )
-    aggregator.load_state(snap["aggregate"])
-    return set(snap["folded"]), set(snap.get("failed", []))
 
 
 def snapshot_dict(
@@ -439,9 +372,9 @@ def stream_campaign(
     rounds identically everywhere, so each shard also evaluates the other
     shards' points into ``planning_aggregator`` (required in that case; a
     shared ``cache_dir`` lets shards reuse each other's planning work).
-    Only owned points reach ``aggregator``, the snapshot's folded set, and
-    the manifest — adaptive shards therefore merge byte-identically to the
-    unsharded run.
+    Only owned points reach ``aggregator``, the snapshot's folded set, the
+    manifest and the counters — adaptive shards therefore merge
+    byte-identically to the unsharded run.
 
     Without ``shard`` the snapshot carries the trivial 0/1 manifest over
     the campaign's own point set.
@@ -455,14 +388,23 @@ def stream_campaign(
     batching only changes how work is packed, never what a point computes
     or how folds combine.
 
+    The run goes through explicit phases: resume from the snapshot, then
+    per round admit (record the round's points), scan (settle what the
+    snapshot or the cache already holds) and execute (settle what the
+    engine evaluates), and a final snapshot flush. Every point outcome is
+    settled in one place, which is also the only place it is counted.
+
     ``on_delta`` is a progress observer for live consumers (the
     ``repro serve`` delta stream): it is called with a counters mapping
     (``event``, ``folded``, ``failed``, ``cached``, ``computed``,
-    ``errors``, ``rounds``, ``batches``) after each round's cache scan
-    (``event="scan"``) and after each completed batch folds
-    (``event="batch"``). Emission *cadence* depends on worker scheduling
-    and is deliberately outside the determinism contract — only the final
-    aggregate is bit-identical; the hook must not mutate campaign state.
+    ``errors``, ``rounds``, ``batches``) after each round's scan
+    (``event="scan"``) and after each batch hand-off folds
+    (``event="batch"``). The counters count the points settled by the
+    time of emission, so ``computed + cached == folded`` on a fresh run,
+    and the last delta agrees with the returned stats. Emission *cadence*
+    depends on worker scheduling and is deliberately outside the
+    determinism contract — only the final aggregate is bit-identical; the
+    hook must not mutate campaign state.
     """
     if on_error not in ("raise", "store"):
         raise ValueError(f"on_error must be 'raise' or 'store': got {on_error!r}")
@@ -476,21 +418,16 @@ def stream_campaign(
                 "a prebuilt shard manifest requires an upfront point "
                 "source; pass shard=(index, count) for adaptive sources"
             )
-        manifest: ShardManifest = shard
-        shard_index, shard_count = shard.index, shard.count
+        index, count = shard.index, shard.count
     elif shard is not None:
-        shard_index, shard_count = int(shard[0]), int(shard[1])
-        if shard_count < 1 or not (0 <= shard_index < shard_count):
-            raise ValueError(f"invalid shard {shard_index}/{shard_count}")
-        manifest = ShardManifest(
-            index=shard_index, count=shard_count, grid=grid_digest(()), points=()
-        )
+        index, count = int(shard[0]), int(shard[1])
+        if count < 1 or not (0 <= index < count):
+            raise ValueError(f"invalid shard {index}/{count}")
     else:
-        shard_index, shard_count = 0, 1
-        manifest = ShardManifest.full(())
+        index, count = 0, 1
 
-    sharded_dynamic = dynamic and shard_count > 1
-    if sharded_dynamic:
+    planning = None
+    if dynamic and count > 1:
         if planning_aggregator is None:
             raise ValueError(
                 "a sharded feedback source needs a planning_aggregator to "
@@ -501,15 +438,20 @@ def stream_campaign(
                 "planning_aggregator must have the same configuration as "
                 "the output aggregator (config digest mismatch)"
             )
-    planning_view = planning_aggregator if sharded_dynamic else aggregator
+        planning = planning_aggregator
 
-    if not dynamic:
-        for spec in upfront:
-            get_experiment(spec.experiment)  # fail fast on unknown experiments
+    if dynamic:
+        # Rebuilt each round over the points emitted so far.
+        manifest = ShardManifest(
+            index=index, count=count, grid=grid_digest(()), points=()
+        )
+    else:
         upfront_unique: dict[str, PointSpec] = {}
         for spec in upfront:
+            get_experiment(spec.experiment)  # fail fast on unknown experiments
             upfront_unique.setdefault(spec.digest, spec)
         if isinstance(shard, ShardManifest):
+            manifest = shard
             if set(upfront_unique) != set(manifest.points):
                 raise ValueError(
                     f"specs do not match the shard manifest: got "
@@ -517,399 +459,439 @@ def stream_campaign(
                     f"{manifest.index}/{manifest.count} covers "
                     f"{len(manifest.points)}"
                 )
-            owned_upfront = len(manifest.points)
         elif shard is not None:
-            manifest = ShardManifest.for_shard(
-                upfront_unique.values(), shard_index, shard_count
-            )
-            owned_upfront = len(manifest.points)
+            manifest = ShardManifest.for_shard(upfront_unique.values(), index, count)
         else:
             manifest = ShardManifest.full(upfront_unique)
-            owned_upfront = len(upfront_unique)
-    else:
-        owned_upfront = 0
+    owned_upfront = len(manifest.points)
 
-    workers = default_workers() if workers is None else max(1, int(workers))
-    cache = ResultCache(cache_dir) if cache_dir is not None else None
-    start = time.monotonic()
-
-    folded: set[str] = set()
-    failed: set[str] = set()
-    planning_folded: set[str] = set()
-    planning_failed: set[str] = set()
-    resumed_complete = False
-    if state_path is not None:
-        path = Path(state_path)
-        snap = _read_snapshot(path)
-        if snap is not None:
-            _validate_snapshot_core(snap, path, aggregator, master_seed)
-            if shard_count > 1:
-                stored = snap.get("shard")
-                stored_key = (
-                    (stored.get("index"), stored.get("count"), stored.get("grid"))
-                    if isinstance(stored, dict)
-                    else None
-                )
-                if dynamic:
-                    # An adaptive shard's manifest grows round by round, so
-                    # only the shard *identity* must match on resume.
-                    if stored_key is None or stored_key[:2] != (
-                        shard_index,
-                        shard_count,
-                    ):
-                        raise SnapshotError(
-                            f"snapshot {path} belongs to a different shard "
-                            f"(have {stored_key and stored_key[:2]}, resuming "
-                            f"shard {shard_index}/{shard_count})"
-                        )
-                elif stored_key != (
-                    manifest.index,
-                    manifest.count,
-                    manifest.grid,
-                ):
-                    raise SnapshotError(
-                        f"snapshot {path} belongs to a different shard or "
-                        f"grid (have {stored_key}, resuming shard "
-                        f"{manifest.index}/{manifest.count} of grid "
-                        f"{manifest.grid[:16]}…)"
-                    )
-            src_state = snap.get("source")
-            if src_state is not None:
-                source.load_state(src_state)
-            elif source.needs_feedback and (
-                snap.get("folded") or snap.get("failed")
-            ):
-                raise SnapshotError(
-                    f"snapshot {path} has folded points but no source "
-                    f"state; it was not written by an adaptive campaign"
-                )
-            aggregator.load_state(snap["aggregate"])
-            folded = set(snap["folded"])
-            failed = set(snap.get("failed", []))
-            resumed_complete = src_state is not None and source.is_complete
-            if sharded_dynamic and not resumed_complete:
-                planning = snap.get("planning")
-                if planning is not None:
-                    planning_aggregator.load_state(planning["aggregate"])
-                    planning_folded = set(planning["folded"])
-                elif folded or failed:
-                    raise SnapshotError(
-                        f"snapshot {path} is an in-flight sharded adaptive "
-                        f"snapshot without planning state; it cannot be "
-                        f"resumed"
-                    )
-    initial_folded = frozenset(folded)
-
-    reporter: ProgressReporter | None
     if isinstance(progress, ProgressReporter):
-        reporter = progress
+        reporter: ProgressReporter | None = progress
     elif progress:
         reporter = ProgressReporter(owned_upfront, stream=progress_stream)
     else:
         reporter = None
 
-    collected: dict[str, Any] | None = {} if collect else None
-    cached = computed = errors = 0
-    resumed_failed = 0
-    already_folded = 0
-    new_folds = 0
-    flush_every = max(_FLUSH_EVERY, owned_upfront // 64)
+    return _CampaignRun(
+        source=source,
+        dynamic=dynamic,
+        aggregator=aggregator,
+        planning=planning,
+        manifest=manifest,
+        workers=default_workers() if workers is None else max(1, int(workers)),
+        master_seed=master_seed,
+        batch_size=batch_size,
+        on_error=on_error,
+        cache=ResultCache(cache_dir) if cache_dir is not None else None,
+        state_path=Path(state_path) if state_path is not None else None,
+        collected={} if collect else None,
+        reporter=reporter,
+        on_delta=on_delta,
+        flush_every=max(_FLUSH_EVERY, owned_upfront // 64),
+    ).run()
 
-    unique: dict[str, PointSpec] = {}
-    planning_seen: set[str] = set()
-    ordered_specs: list[PointSpec] = []
-    round_sizes: list[int] = []
-    rounds_run = 0
-    batches = 0
-    effective_batch: int | None = None
-    kernel_totals: dict[str, int] = {"fast": 0, "fallback": 0}
 
-    def owns(digest: str) -> bool:
-        return shard_count == 1 or shard_of(digest, shard_count) == shard_index
+@dataclass
+class _CampaignRun:
+    """One campaign run: its configuration, its state and its phases.
 
-    def flush(force: bool = False) -> None:
-        nonlocal new_folds
-        if state_path is None:
-            return
-        if force or new_folds >= flush_every:
-            planning_blob = None
-            if sharded_dynamic and not source.is_complete:
-                planning_blob = {
-                    "folded": sorted(planning_folded),
-                    "aggregate": planning_aggregator.state_dict(),
-                }
-            with telemetry.span("snapshot"):
-                save_snapshot(
-                    state_path,
-                    aggregator,
-                    master_seed,
-                    folded,
-                    failed,
-                    manifest,
-                    source=source.state_dict(),
-                    planning=planning_blob,
-                )
-            telemetry.count("campaign.snapshots")
-            new_folds = 0
+    :meth:`run` drives resume → per round (admit → scan → execute) →
+    flush. Every point outcome goes through :meth:`settle`, which files it
+    (fold, failure set, collected results) and counts it in :attr:`record`.
+    """
 
-    def fold_planning(spec: PointSpec, result: Any) -> None:
-        # No flush here: callers flush after *all* bookkeeping for the
-        # point is done, so a snapshot never records a fold whose digest
-        # is missing from the folded set.
-        nonlocal new_folds
-        if spec.digest not in planning_folded:
-            planning_aggregator.fold(spec, result)
-            planning_folded.add(spec.digest)
-            new_folds += 1
+    source: PointSource
+    #: Whether the point set is only known round by round (no upfront specs).
+    dynamic: bool
+    aggregator: Aggregator
+    #: The planning view of a sharded feedback source, None otherwise.
+    planning: Aggregator | None
+    #: This run's shard (index, count and, once known, its points).
+    manifest: ShardManifest
+    workers: int
+    master_seed: int
+    batch_size: int | None
+    on_error: str
+    cache: ResultCache | None
+    state_path: Path | None
+    #: Digest -> result of every owned point, with ``collect=True`` only.
+    collected: dict[str, Any] | None
+    reporter: ProgressReporter | None
+    on_delta: "Callable[[Mapping[str, Any]], None] | None"
+    flush_every: int
+    #: The run's counters, keyed by :class:`StreamStats` field name: each
+    #: point and batch is counted here once.
+    record: "Counter[str]" = field(default_factory=Counter)
+    start: float = field(default_factory=time.monotonic)
+    #: Owned digests folded into / failed for the snapshot (resumed ones too).
+    folded: set[str] = field(default_factory=set)
+    failed: set[str] = field(default_factory=set)
+    planning_folded: set[str] = field(default_factory=set)
+    planning_failed: set[str] = field(default_factory=set)
+    #: Owned points, in emission order with duplicates, and by digest.
+    ordered: list[PointSpec] = field(default_factory=list)
+    unique: dict[str, PointSpec] = field(default_factory=dict)
+    #: Other shards' digests a sharded feedback source emitted.
+    planning_seen: set[str] = field(default_factory=set)
+    round_sizes: list[int] = field(default_factory=list)
+    #: Folds and failures since the last snapshot flush.
+    new_folds: int = 0
+    resumed_complete: bool = False
+    #: The batch size the engine resolved for the first round.
+    resolved_batch: int | None = None
 
-    def finish(spec: PointSpec, ok: bool, result: Any) -> None:
-        nonlocal errors, new_folds
-        if not owns(spec.digest):
-            # Another shard's point, evaluated only so the feedback source
-            # can observe the full aggregate: folds into the planning view,
-            # never into the output aggregate or the snapshot's folded set.
-            if not ok:
-                if on_error == "raise":
-                    raise CampaignError(spec, result)
-                planning_failed.add(spec.digest)
-                if reporter:
-                    reporter.update(error=True)
-                return
-            fold_planning(spec, result)
-            flush()
-            if reporter:
-                reporter.update()
-            return
-        if not ok:
-            if on_error == "raise":
-                raise CampaignError(spec, result)
-            errors += 1
-            if spec.digest not in failed:
-                failed.add(spec.digest)
-                new_folds += 1
-                flush()
-            if collected is not None:
-                collected[spec.digest] = {"error": result}
-            if reporter:
-                reporter.update(error=True)
-            return
-        if collected is not None:
-            collected[spec.digest] = result
-        if spec.digest not in folded:
-            aggregator.fold(spec, result)
-            folded.add(spec.digest)
-            new_folds += 1
-            if sharded_dynamic:
-                fold_planning(spec, result)
-            flush()
-        if reporter:
-            reporter.update()
+    def owns(self, digest: str) -> bool:
+        count = self.manifest.count
+        return count == 1 or shard_of(digest, count) == self.manifest.index
 
-    def emit_delta(event: str) -> None:
-        if on_delta is None:
-            return
-        on_delta(
-            {
-                "event": event,
-                "folded": len(folded),
-                "failed": len(failed),
-                "cached": cached,
-                "computed": computed,
-                "errors": errors,
-                "rounds": rounds_run,
-                "batches": batches,
-            }
+    def run(self) -> StreamResult:
+        self.resume()
+        view = self.planning if self.planning is not None else self.aggregator
+        with telemetry.span("campaign"):
+            for round_specs in _timed_rounds(self.source.rounds(view)):
+                self.admit(round_specs)
+                self.execute(self.scan(round_specs))
+            rounds = self.record["rounds"]
+            if not (self.dynamic and rounds == 0 and self.resumed_complete):
+                # A resumed-complete adaptive run replans nothing; rewriting
+                # the snapshot would shrink its manifest to the (empty)
+                # point set seen this run and corrupt it.
+                self.flush(force=True)
+        results = None
+        if self.collected is not None:
+            results = [self.collected[spec.digest] for spec in self.ordered]
+        return StreamResult(
+            aggregator=self.aggregator,
+            specs=self.ordered,
+            results=results,
+            stats=self.stats(),
         )
 
-    def on_complete_batch(
-        batch: list[tuple[PointSpec, bool, Any, float]]
+    def resume(self) -> None:
+        """Continue from the snapshot at ``state_path``, if one is readable.
+
+        A missing or corrupt snapshot starts fresh; a readable one with a
+        mismatched schema, master seed, aggregator shape, shard or point
+        source raises :class:`SnapshotError` — silently dropping or merging
+        an incompatible aggregate would corrupt the resumed campaign.
+        Unsharded grids stay permissive: extending a grid into an existing
+        snapshot is the documented incremental-resume path.
+        """
+        path = self.state_path
+        if path is None:
+            return
+        try:
+            snap = json.loads(path.read_text())
+        except (OSError, ValueError):
+            return
+        if not isinstance(snap, dict):
+            return
+        check_snapshot_compat(snap, path)
+        if snap.get("master_seed") != self.master_seed:
+            raise SnapshotError(
+                f"snapshot {path} was built with master seed "
+                f"{snap.get('master_seed')!r}, not {self.master_seed}"
+            )
+        if snap.get("config") != self.aggregator.config_digest:
+            raise SnapshotError(
+                f"snapshot {path} does not match this aggregator's shape "
+                f"(config digest mismatch)"
+            )
+        if snap.get("partial"):
+            # A partial-merge preview (`repro merge --allow-partial`) unions
+            # several shards' folds under the trivial manifest; resuming a
+            # campaign from it would silently skip whole shards of points.
+            raise SnapshotError(
+                f"snapshot {path} is a partial-merge preview "
+                f"(missing shards {snap.get('missing_shards')}); previews "
+                f"cannot seed a campaign resume"
+            )
+        index, count = self.manifest.index, self.manifest.count
+        if count > 1:
+            # Folding shard 1/3's points into shard 2/3's snapshot, or into
+            # a shard of another grid, would poison the eventual merge. An
+            # adaptive shard's manifest grows round by round, so only its
+            # identity must match.
+            stored = snap.get("shard")
+            have = (
+                (stored.get("index"), stored.get("count"), stored.get("grid"))
+                if isinstance(stored, dict)
+                else None
+            )
+            grid = self.manifest.grid
+            want = (index, count) if self.dynamic else (index, count, grid)
+            if have is None or have[: len(want)] != want:
+                of_grid = "" if self.dynamic else f" of grid {grid[:16]}…"
+                raise SnapshotError(
+                    f"snapshot {path} belongs to a different shard or grid "
+                    f"(have {have}, resuming shard {index}/{count}{of_grid})"
+                )
+        source_state = snap.get("source")
+        if source_state is not None:
+            self.source.load_state(source_state)
+        elif self.source.needs_feedback and (snap.get("folded") or snap.get("failed")):
+            raise SnapshotError(
+                f"snapshot {path} has folded points but no source "
+                f"state; it was not written by an adaptive campaign"
+            )
+        self.aggregator.load_state(snap["aggregate"])
+        self.folded = set(snap["folded"])
+        self.failed = set(snap.get("failed", []))
+        self.resumed_complete = source_state is not None and self.source.is_complete
+        if self.planning is not None and not self.resumed_complete:
+            planning = snap.get("planning")
+            if planning is not None:
+                self.planning.load_state(planning["aggregate"])
+                self.planning_folded = set(planning["folded"])
+            elif self.folded or self.failed:
+                raise SnapshotError(
+                    f"snapshot {path} is an in-flight sharded adaptive "
+                    f"snapshot without planning state; it cannot be resumed"
+                )
+
+    def admit(self, round_specs: Sequence[PointSpec]) -> None:
+        """Record a round's points: this shard's in order, others' for planning."""
+        self.record["rounds"] += 1
+        telemetry.count("campaign.rounds")
+        owned = 0
+        for spec in round_specs:
+            if self.dynamic:
+                get_experiment(spec.experiment)
+            digest = spec.digest
+            if self.owns(digest):
+                owned += 1
+                self.ordered.append(spec)
+                self.unique.setdefault(digest, spec)
+            elif self.planning is not None:
+                self.planning_seen.add(digest)
+            # else: grid shard narrowing — other shards' points are simply
+            # not this run's work (no feedback to serve).
+        self.round_sizes.append(owned)
+        if not self.dynamic:
+            return
+        index, count = self.manifest.index, self.manifest.count
+        emitted = len(self.unique) + len(self.planning_seen)
+        if count > 1:
+            self.manifest = ShardManifest(
+                index=index,
+                count=count,
+                grid=grid_digest(set(self.unique) | self.planning_seen),
+                points=tuple(self.unique),
+            )
+        else:
+            self.manifest = ShardManifest.full(self.unique)
+        self.flush_every = max(_FLUSH_EVERY, emitted // 64)
+        if self.reporter is not None:
+            self.reporter.grow(emitted - self.reporter.total)
+
+    def scan(self, round_specs: Sequence[PointSpec]) -> list[PointSpec]:
+        """Settle the round's points that need no evaluation; return the rest.
+
+        Points already in the snapshot are done: no cache read, no compute,
+        no re-fold. Known-failed points are skipped the same way in "store"
+        mode (deterministic evaluation fails identically on every re-run).
+        Both shortcuts are off when the caller wants the raw results back.
+        """
+        todo: list[PointSpec] = []
+        seen: set[str] = set()
+        with telemetry.span("scan"):
+            for spec in round_specs:
+                digest = spec.digest
+                if digest in seen:
+                    continue
+                seen.add(digest)
+                if self.owns(digest):
+                    held_ok = digest in self.folded
+                    held = self.collected is None and (
+                        held_ok or (self.on_error == "store" and digest in self.failed)
+                    )
+                elif self.planning is not None:
+                    held_ok = digest in self.planning_folded
+                    held = held_ok or digest in self.planning_failed
+                else:
+                    continue
+                if held:
+                    self.settle(spec, held_ok, None, resumed=True)
+                    continue
+                hit = (
+                    self.cache.get(spec, self.master_seed)
+                    if self.cache is not None
+                    else None
+                )
+                if hit is None:
+                    todo.append(spec)
+                else:
+                    self.settle(spec, True, hit, cached=True)
+        self.emit("scan")
+        return todo
+
+    def execute(self, todo: list[PointSpec]) -> None:
+        with telemetry.span("execute"):
+            resolved = execute_points(
+                todo,
+                self.workers,
+                self.master_seed,
+                self.hand_off,
+                # persist what has been folded so far even when a point
+                # aborts the campaign — a resumed run then skips
+                # everything already aggregated
+                on_abort=lambda: self.flush(force=True),
+                batch_size=self.batch_size,
+            )
+        if self.resolved_batch is None:
+            self.resolved_batch = resolved
+
+    def hand_off(
+        self,
+        done: "list[tuple[PointSpec, bool, Any, float]]",
+        kernel_delta: "Mapping[str, int] | None",
     ) -> None:
-        nonlocal batches
-        batches += 1
-        if reporter:
-            reporter.note_batch()
-        if cache is not None:
+        """Take evaluated points from the engine; ``kernel_delta`` marks the
+        batch's last hand-off, so only that one counts as a batch."""
+        if kernel_delta is not None:
+            self.record["batches"] += 1
+            self.record["kernel_fast"] += kernel_delta.get("fast", 0)
+            self.record["kernel_fallback"] += kernel_delta.get("fallback", 0)
+            if self.reporter is not None:
+                self.reporter.note_batch()
+        if self.cache is not None:
             with telemetry.span("write"):
-                cache.put_many(
-                    (spec, master_seed, result, elapsed)
-                    for spec, ok, result, elapsed in batch
+                self.cache.put_many(
+                    (spec, self.master_seed, result, elapsed)
+                    for spec, ok, result, elapsed in done
                     if ok
                 )
         with telemetry.span("fold"):
-            for spec, ok, result, _elapsed in batch:
-                finish(spec, ok, result)
-        emit_delta("batch")
+            for spec, ok, result, _elapsed in done:
+                self.settle(spec, ok, result)
+        self.emit("batch")
 
-    with telemetry.span("campaign"):
-        for round_specs in _timed_rounds(source.rounds(planning_view)):
-            rounds_run += 1
-            telemetry.count("campaign.rounds")
-            owned_round = 0
-            for spec in round_specs:
-                if dynamic:
-                    get_experiment(spec.experiment)
-                digest = spec.digest
-                if owns(digest):
-                    owned_round += 1
-                    ordered_specs.append(spec)
-                    if digest not in unique:
-                        unique[digest] = spec
-                        if digest in initial_folded:
-                            already_folded += 1
-                elif sharded_dynamic:
-                    planning_seen.add(digest)
-                # else: grid shard narrowing — other shards' points are
-                # simply not this run's work (no feedback to serve).
-            round_sizes.append(owned_round)
+    def settle(
+        self,
+        spec: PointSpec,
+        ok: bool,
+        result: Any,
+        *,
+        cached: bool = False,
+        resumed: bool = False,
+    ) -> None:
+        """File one point's outcome and count it — the only place either
+        happens.
 
-            if dynamic:
-                if shard_count > 1:
-                    manifest = ShardManifest(
-                        index=shard_index,
-                        count=shard_count,
-                        grid=grid_digest(set(unique) | planning_seen),
-                        points=tuple(unique),
-                    )
-                else:
-                    manifest = ShardManifest.full(unique)
-                flush_every = max(
-                    _FLUSH_EVERY, (len(unique) + len(planning_seen)) // 64
-                )
-                if reporter:
-                    reporter.grow(
-                        len(unique) + len(planning_seen) - reporter.total
-                    )
+        ``resumed`` marks a point the snapshot already holds, ``cached`` a
+        result-cache hit; otherwise ``result`` was just evaluated. An owned
+        point folds into the output aggregate (and the planning view, if
+        any); another shard's point folds into the planning view only and
+        is not counted.
+        """
+        if not ok and self.on_error == "raise":
+            raise CampaignError(spec, result)
+        digest = spec.digest
+        record = self.record
+        if not self.owns(digest):
+            if not ok:
+                self.planning_failed.add(digest)
+            elif not resumed:
+                self._fold_planning(spec, result)
+        elif resumed:
+            record["skipped"] += 1
+            if not ok:
+                record["errors"] += 1
+        elif not ok:
+            record["errors"] += 1
+            if digest not in self.failed:
+                self.failed.add(digest)
+                self.new_folds += 1
+            if self.collected is not None:
+                self.collected[digest] = {"error": result}
+        else:
+            if cached:
+                record["cached"] += 1
+            else:
+                record["computed"] += 1
+            if self.collected is not None:
+                self.collected[digest] = result
+            if digest in self.folded:
+                record["skipped"] += 1  # a resumed fold, re-read for collect
+            else:
+                self.aggregator.fold(spec, result)
+                self.folded.add(digest)
+                record["folded"] += 1
+                self.new_folds += 1
+                if self.planning is not None:
+                    self._fold_planning(spec, result)
+        if self.reporter is not None:
+            self.reporter.update(cached=cached or resumed, error=not ok)
+        # Flush only once the point is fully filed, so a snapshot never
+        # records a fold whose digest is missing from the folded set.
+        self.flush()
 
-            # Points already in the snapshot are done: no cache read, no
-            # compute, no re-fold. Known-failed points are skipped the same
-            # way in "store" mode (deterministic evaluation fails
-            # identically on every re-run). Both shortcuts are off when the
-            # caller wants the raw results back.
-            todo: list[PointSpec] = []
-            owned_todo = 0
-            round_seen: set[str] = set()
-            with telemetry.span("scan"):
-                for spec in round_specs:
-                    digest = spec.digest
-                    if digest in round_seen:
-                        continue
-                    round_seen.add(digest)
-                    if not owns(digest):
-                        if not sharded_dynamic:
-                            continue
-                        if digest in planning_folded or digest in planning_failed:
-                            if reporter:
-                                reporter.update(cached=True)
-                            continue
-                        hit = (
-                            cache.get(spec, master_seed)
-                            if cache is not None
-                            else None
-                        )
-                        if hit is not None:
-                            fold_planning(spec, hit)
-                            flush()
-                            if reporter:
-                                reporter.update(cached=True)
-                        else:
-                            todo.append(spec)
-                        continue
-                    if digest in folded and collected is None:
-                        if reporter:
-                            reporter.update(cached=True)
-                        continue
-                    if (
-                        digest in failed
-                        and collected is None
-                        and on_error == "store"
-                    ):
-                        errors += 1
-                        resumed_failed += 1
-                        if reporter:
-                            reporter.update(error=True)
-                        continue
-                    hit = (
-                        cache.get(spec, master_seed)
-                        if cache is not None
-                        else None
-                    )
-                    if hit is not None:
-                        cached += 1
-                        if collected is not None:
-                            collected[digest] = hit
-                        if digest not in folded:
-                            aggregator.fold(spec, hit)
-                            folded.add(digest)
-                            new_folds += 1
-                            if sharded_dynamic:
-                                fold_planning(spec, hit)
-                            flush()
-                        if reporter:
-                            reporter.update(cached=True)
-                    else:
-                        todo.append(spec)
-                        owned_todo += 1
+    def _fold_planning(self, spec: PointSpec, result: Any) -> None:
+        if spec.digest not in self.planning_folded:
+            self.planning.fold(spec, result)
+            self.planning_folded.add(spec.digest)
+            self.new_folds += 1
 
-            emit_delta("scan")
-            computed += owned_todo
-            with telemetry.span("execute"):
-                eb = execute_points(
-                    todo,
-                    workers,
-                    master_seed,
-                    on_complete_batch,
-                    # persist what has been folded so far even when a point
-                    # aborts the campaign — a resumed run then skips
-                    # everything already aggregated
-                    on_abort=lambda: flush(force=True),
-                    batch_size=batch_size,
-                    kernel_totals=kernel_totals,
-                )
-            if effective_batch is None:
-                effective_batch = eb
+    def flush(self, force: bool = False) -> None:
+        if self.state_path is None or not (force or self.new_folds >= self.flush_every):
+            return
+        planning = None
+        if self.planning is not None and not self.source.is_complete:
+            planning = {
+                "folded": sorted(self.planning_folded),
+                "aggregate": self.planning.state_dict(),
+            }
+        with telemetry.span("snapshot"):
+            save_snapshot(
+                self.state_path,
+                self.aggregator,
+                self.master_seed,
+                self.folded,
+                self.failed,
+                self.manifest,
+                source=self.source.state_dict(),
+                planning=planning,
+            )
+        telemetry.count("campaign.snapshots")
+        self.new_folds = 0
 
-        if effective_batch is None:
+    def emit(self, event: str) -> None:
+        if self.on_delta is None:
+            return
+        record = self.record
+        self.on_delta(
+            {
+                "event": event,
+                "folded": len(self.folded),
+                "failed": len(self.failed),
+                "cached": record["cached"],
+                "computed": record["computed"],
+                "errors": record["errors"],
+                "rounds": record["rounds"],
+                "batches": record["batches"],
+            }
+        )
+
+    def stats(self) -> StreamStats:
+        resolved = self.resolved_batch
+        if resolved is None:
             # No rounds ran (empty grid, or a resumed-complete adaptive
             # snapshot); report the batch size an empty execution would use.
-            effective_batch = execute_points(
-                [], workers, master_seed, on_complete_batch, batch_size=batch_size
+            resolved = execute_points(
+                [], self.workers, self.master_seed, self.hand_off,
+                batch_size=self.batch_size,
             )
-
-        if not (dynamic and rounds_run == 0 and resumed_complete):
-            # A resumed-complete adaptive run replans nothing; rewriting the
-            # snapshot would shrink its manifest to the (empty) point set
-            # seen this run and corrupt it.
-            flush(force=True)
-    computed -= errors - resumed_failed
-
-    results: list[Any] | None = None
-    if collected is not None:
-        results = [collected[spec.digest] for spec in ordered_specs]
-
-    return StreamResult(
-        aggregator=aggregator,
-        specs=ordered_specs,
-        results=results,
-        stats=StreamStats(
-            total=len(ordered_specs),
-            unique=len(unique),
-            computed=computed,
-            cached=cached,
-            errors=errors,
-            elapsed=time.monotonic() - start,
-            workers=workers,
-            batch_size=effective_batch,
-            folded=len(folded & set(unique)) - already_folded,
-            skipped=already_folded + resumed_failed,
-            batches=batches,
-            rounds=rounds_run,
-            round_sizes=tuple(round_sizes),
-            open_bins=source.open_bins,
-            planning_points=len(planning_seen),
-            kernel_fast=kernel_totals.get("fast", 0),
-            kernel_fallback=kernel_totals.get("fallback", 0),
-        ),
-    )
+        return StreamStats(
+            total=len(self.ordered),
+            unique=len(self.unique),
+            elapsed=time.monotonic() - self.start,
+            workers=self.workers,
+            batch_size=resolved,
+            round_sizes=tuple(self.round_sizes),
+            open_bins=self.source.open_bins,
+            planning_points=len(self.planning_seen),
+            **self.record,
+        )
 
 
 def fold_rows(
@@ -932,7 +914,6 @@ __all__ = [
     "StreamResult",
     "StreamStats",
     "fold_rows",
-    "load_snapshot",
     "save_snapshot",
     "snapshot_dict",
     "stream_campaign",

@@ -128,7 +128,8 @@ class TestBatching:
         seen: list[str] = []
         sizes: list[int] = []
 
-        def finish_batch(done):
+        def finish_batch(done, kernel_delta):
+            assert set(kernel_delta) == {"fast", "fallback"}  # last hand-off
             sizes.append(len(done))
             for spec, ok, _result, elapsed in done:
                 assert ok and elapsed >= 0.0
@@ -140,6 +141,7 @@ class TestBatching:
         assert effective == batch
         assert sorted(seen) == sorted(s.digest for s in specs)
         assert all(size <= batch for size in sizes)
+        assert len(sizes) == (len(specs) + batch - 1) // batch  # one per batch
 
     def test_explicit_batch_sizes_are_bit_identical(self):
         baseline = sweep("schedulability", SCHED_AXES, master_seed=5).to_json()
@@ -163,7 +165,7 @@ class TestBatching:
         )
         seen: list[str] = []
 
-        def finish_batch(done):
+        def finish_batch(done, _kernel_delta):
             for spec, ok, result, _elapsed in done:
                 seen.append(spec.digest)
                 if not ok:

@@ -34,7 +34,6 @@ from repro.runner import (
     experiments,
     grid_digest,
     grid_specs,
-    load_snapshot,
     mean_metric,
     merge_snapshot_files,
     reps_for_width,
@@ -316,8 +315,6 @@ class TestAdaptiveResume:
                 master_seed=1,
                 state_path=state,
             )
-        with pytest.raises(SnapshotError, match="point source"):
-            load_snapshot(state, probe_aggregator(), 1)
 
     def test_adaptive_cannot_resume_grid_snapshot(self, tmp_path):
         state = tmp_path / "state.json"
