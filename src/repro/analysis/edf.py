@@ -83,6 +83,20 @@ def demand_bound_array(taskset: TaskSet, ts: Iterable[float]) -> np.ndarray:
     return total
 
 
+def _integer_grid(
+    taskset: TaskSet, horizon: float | None
+) -> tuple[kernels.ScaledTaskSet, int] | None:
+    """The set's integer time base and ``horizon`` on it (default: the
+    hyperperiod), or ``None`` when either is out of the kernels' bounds."""
+    sts = kernels.rescale(taskset.tasks)
+    if sts is None:
+        return None
+    if horizon is None:
+        return sts, sts.hyperperiod
+    horizon_scaled = kernels.scale_horizon(sts, horizon)
+    return None if horizon_scaled is None else (sts, horizon_scaled)
+
+
 def deadline_set(taskset: TaskSet, horizon: float | None = None) -> tuple[float, ...]:
     """``dlSet(T)``: every absolute deadline in ``(0, horizon]``.
 
@@ -97,16 +111,10 @@ def deadline_set(taskset: TaskSet, horizon: float | None = None) -> tuple[float,
     if horizon is not None:
         check_positive("horizon", horizon)
     if kernels.fast_kernels_enabled():
-        sts = kernels.rescale(taskset.tasks)
-        horizon_scaled: int | None = None
-        if sts is not None:
-            horizon_scaled = (
-                sts.hyperperiod
-                if horizon is None
-                else kernels.scale_horizon(sts, horizon)
-            )
-        kernels.note_selection(horizon_scaled is not None)
-        if sts is not None and horizon_scaled is not None:
+        grid = _integer_grid(taskset, horizon)
+        kernels.note_selection(grid is not None)
+        if grid is not None:
+            sts, horizon_scaled = grid
             pts = kernels.deadline_points(sts, horizon_scaled)
             return tuple(kernels.to_time(sts, pts).tolist())
     if horizon is None:
@@ -128,6 +136,32 @@ def deadline_set(taskset: TaskSet, horizon: float | None = None) -> tuple[float,
 def edf_demand_points(taskset: TaskSet, horizon: float | None = None) -> np.ndarray:
     """``dlSet`` as a numpy array (convenience for vectorised sweeps)."""
     return np.asarray(deadline_set(taskset, horizon), dtype=float)
+
+
+def edf_demand(
+    taskset: TaskSet, horizon: float | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """``dlSet`` up to ``horizon`` and the Eq. 9 demand ``W(t)`` at each point.
+
+    Equal to :func:`edf_demand_points` followed by :func:`demand_bound_array`,
+    and it counts the same two kernel selections (one for the points, one
+    for the demand). On a rescalable set both come from one integer-grid
+    build: the integer deadline points feed the demand kernel directly and
+    convert to float once. A set that does not rescale, or whose
+    ``horizon`` cannot be scaled, takes the two calls unchanged.
+    """
+    if kernels.fast_kernels_enabled() and len(taskset):
+        if horizon is not None:
+            check_positive("horizon", horizon)
+        grid = _integer_grid(taskset, horizon)
+        if grid is not None:
+            sts, horizon_scaled = grid
+            pts = kernels.deadline_points(sts, horizon_scaled)
+            kernels.note_selection(True)  # the points
+            kernels.note_selection(True)  # the demand
+            return kernels.to_time(sts, pts), kernels.demand_array(sts, pts)
+    pts = edf_demand_points(taskset, horizon)
+    return pts, demand_bound_array(taskset, pts)
 
 
 def edf_utilization_test(taskset: TaskSet, capacity: float = 1.0) -> bool:
@@ -171,8 +205,8 @@ def edf_schedulable_supply(
     (default: the exact analytic cut-off when the supply rate exceeds the
     utilization, else the hyperperiod — see :func:`_check_horizon`), after
     the necessary rate condition ``U(T) <= α``. The deadline points and the
-    demand vector come from the integer fast kernels whenever the task set
-    rescales (see :mod:`repro.analysis.kernels`).
+    demand vector come from one integer-grid build whenever the task set
+    rescales (:func:`edf_demand`).
     """
     if len(taskset) == 0:
         return EDFAnalysis(True, points_checked=0)
@@ -186,10 +220,9 @@ def edf_schedulable_supply(
         )
     if horizon is None:
         horizon = _check_horizon(taskset, supply)
-    pts = edf_demand_points(taskset, horizon)
+    pts, demand = edf_demand(taskset, horizon)
     if pts.size == 0:
         return EDFAnalysis(True, points_checked=0)
-    demand = demand_bound_array(taskset, pts)
     z = supply.supply_array(pts)
     bad = np.nonzero(z < demand - EPS)[0]
     if bad.size:

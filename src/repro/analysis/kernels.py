@@ -26,11 +26,14 @@ Otherwise :func:`rescale` returns ``None`` and callers keep the existing
 float path — kernel selection is per task set, per call, with module-level
 fast/fallback counters the campaign engine aggregates into its stats line.
 
-**Vector kernels** — deadline sets (``np.arange`` per task + ``np.unique``),
-Eq. 9 demand job counts and Eq. 5 interference counts in pure ``int64``
-(no ``EPS`` anywhere). Demand totals accumulate in float, per task in the
-same order as the float path, so whenever job counts agree (always, on
-rescalable sets) the totals are bit-identical.
+**Vector kernels** — deadline sets (``np.arange`` per task, one in-place
+sort, adjacent duplicates dropped), Eq. 9 demand job counts and Eq. 5
+interference counts in pure ``int64`` (no ``EPS`` anywhere). Demand totals
+accumulate in float, per task in the same order as the float path, so
+whenever job counts agree (always, on rescalable sets) the totals are
+bit-identical. :func:`repro.analysis.edf.edf_demand` feeds the integer
+deadline points straight into :func:`demand_array`, so an EDF build stays
+on the integer grid until one final conversion to float.
 
 **Scalar kernels** — QPA and the synchronous busy period in arbitrary-
 precision Python integers: WCETs are exact dyadic rationals too, so the
@@ -310,7 +313,14 @@ def deadline_points(sts: ScaledTaskSet, horizon_scaled: int) -> np.ndarray:
         arrays.append(np.arange(count, dtype=np.int64) * p + d)
     if not arrays:
         return np.empty(0, dtype=np.int64)
-    return np.unique(np.concatenate(arrays))
+    # np.unique costs more than this at dlSet sizes: sort in place, then
+    # keep each element that differs from its predecessor.
+    pts = np.concatenate(arrays)
+    pts.sort()
+    keep = np.empty(pts.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(pts[1:], pts[:-1], out=keep[1:])
+    return pts[keep]
 
 
 def demand_array(sts: ScaledTaskSet, t_scaled: np.ndarray) -> np.ndarray:

@@ -13,8 +13,9 @@ implements that controller:
   and returns the bandwidth to the reserve.
 
 Every bin's ``minQ`` at ``P`` is kept next to the bin and recomputed only
-when that bin changes, so an arrival costs one ``minQ`` per candidate bin
-and a departure costs one.
+when that bin changes. An arrival costs at most one ``minQ`` per live
+candidate bin, and none after the first candidate that fits at zero cost;
+a departure costs one.
 
 The controller never changes ``P`` — changing the major period would require
 a platform-level resynchronisation, exactly what the paper's design avoids.
@@ -154,19 +155,21 @@ class AdmissionController:
     def try_admit(self, task: Task, processor: int | None = None) -> AdmissionDecision:
         """Attempt to admit ``task`` into its required mode.
 
-        When ``processor`` is None every bin of the mode is tried and the one
-        needing the least quantum growth is selected (ties: lowest index).
-        The internal partition, quantum and slack are updated only on
-        acceptance.
+        When ``processor`` is None the live bins of the mode are tried in
+        order and the one needing the least quantum growth is selected (ties:
+        lowest index); the scan stops at the first bin that fits at zero
+        cost. A task whose name is already in any mode is rejected. The
+        internal partition, quantum and slack are updated only on acceptance.
         """
         mode = task.mode
         bins = self._bins[mode]
-        for ts in bins:
-            if task.name in ts:
-                return AdmissionDecision(
-                    False, mode, None, 0.0, self._slack,
-                    reason=f"task {task.name!r} already present",
-                )
+        # Names are unique across the partition, not only within a mode.
+        every_bin = (ts for mode_bins in self._bins.values() for ts in mode_bins)
+        if any(task.name in ts for ts in every_bin):
+            return AdmissionDecision(
+                False, mode, None, 0.0, self._slack,
+                reason=f"task {task.name!r} already present",
+            )
         candidates = range(len(bins)) if processor is None else [processor]
         # (cost, idx, new mode minQ, new bin minQ)
         best: tuple[float, int, float, float] | None = None
@@ -196,6 +199,10 @@ class AdmissionController:
             cost = growth + extra_overhead
             if best is None or cost < best[0] - EPS:
                 best = (cost, idx, new_minq, bin_minq)
+                # Every cost is >= 0, so no later bin can beat a zero-cost
+                # fit by more than EPS: the decision is already made.
+                if cost <= EPS:
+                    break
         if best is None:
             return AdmissionDecision(
                 False, mode, None, 0.0, self._slack,

@@ -36,9 +36,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.analysis import kernels, scheduling_points
-from repro.analysis.edf import edf_demand_points, demand_bound_array
+from repro.analysis.edf import edf_demand, edf_schedulable_supply
 from repro.analysis.fp import fp_schedulable_supply
-from repro.analysis.edf import edf_schedulable_supply
 from repro.analysis.priorities import priority_order
 from repro.analysis.workload import fp_workload_array
 from repro.model import Task, TaskSet
@@ -83,8 +82,8 @@ def demand_groups(
     if len(taskset) == 0:
         return alg, groups
     if alg == "EDF":
-        pts = edf_demand_points(taskset)  # dlSet up to the hyperperiod (Eq. 11)
-        groups.append(("*", pts, demand_bound_array(taskset, pts)))
+        pts, w = edf_demand(taskset)  # dlSet up to the hyperperiod (Eq. 11)
+        groups.append(("*", pts, w))
     else:
         assert order is not None
         for i, task in enumerate(order):

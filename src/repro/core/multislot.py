@@ -40,7 +40,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.analysis import edf_schedulable_supply, fp_schedulable_supply
-from repro.analysis.edf import demand_bound_array, edf_demand_points
+from repro.analysis.edf import edf_demand
 from repro.analysis.priorities import priority_order
 from repro.analysis.workload import fp_workload_array
 from repro.analysis.points import scheduling_points
@@ -75,8 +75,7 @@ def min_quantum_split(
         return 0.0
     alg = algorithm.upper()
     if alg == "EDF":
-        pts = edf_demand_points(taskset)
-        w = demand_bound_array(taskset, pts)
+        pts, w = edf_demand(taskset)
         return float(_f_quantum_split(pts, w, period, pieces).max())
     if alg not in ("RM", "DM"):
         raise ValueError(f"unknown algorithm {algorithm!r} (EDF, RM or DM)")
@@ -318,8 +317,7 @@ def _bin_point_demands(
     if len(taskset) == 0:
         return groups
     if alg == "EDF":
-        pts = edf_demand_points(taskset)
-        groups.append((pts, demand_bound_array(taskset, pts), True))
+        groups.append((*edf_demand(taskset), True))
         return groups
     order = priority_order(taskset, alg)
     for i, task in enumerate(order):

@@ -9,6 +9,8 @@ the EDF ``dlSet`` computations).
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from repro.util import check_positive
@@ -78,6 +80,17 @@ def hyperperiod_limited_periods(
     """
     if n < 1:
         raise ValueError(f"n must be >= 1: got {n}")
+    divisors, probabilities = _period_lattice(low, high, hyperperiod)
+    return rng.choice(divisors, size=n, p=probabilities)
+
+
+@lru_cache(maxsize=64)
+def _period_lattice(
+    low: float, high: float, hyperperiod: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The divisors of ``hyperperiod`` in ``[low, high]`` and their ``1/d``
+    probabilities, as read-only arrays: the online preset draws one period
+    per arrival from the same lattice."""
     check_positive("low", low)
     if high <= low:
         raise ValueError(f"empty range [{low}, {high}]")
@@ -97,7 +110,10 @@ def hyperperiod_limited_periods(
             f"hyperperiod {base} has fewer than 2 divisors in [{low}, {high}]"
         )
     weights = 1.0 / divisors
-    return rng.choice(divisors, size=n, p=weights / weights.sum())
+    probabilities = weights / weights.sum()
+    divisors.flags.writeable = False
+    probabilities.flags.writeable = False
+    return divisors, probabilities
 
 
 def harmonic_periods(

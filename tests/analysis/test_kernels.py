@@ -25,7 +25,12 @@ from repro.analysis import (
     qpa_schedulable,
     scheduling_points,
 )
-from repro.analysis.edf import demand_bound_array, synchronous_busy_period
+from repro.analysis.edf import (
+    demand_bound_array,
+    edf_demand,
+    edf_demand_points,
+    synchronous_busy_period,
+)
 from repro.generators import generate_mixed_taskset, generate_taskset
 from repro.model import Task, TaskSet
 from repro.util import EPS
@@ -375,6 +380,130 @@ class TestOverflowFallback:
             before = kernels.kernel_counters()
             demand_bound_function(integer_pair, 4.0 + 1e-4)
             assert kernels.counters_delta(before)["fallback"] == 1
+
+
+class TestIntegerGridBuild:
+    """``edf_demand`` is ``edf_demand_points`` then ``demand_bound_array``:
+    equal arrays and equal kernel selection counts, on every path."""
+
+    @staticmethod
+    def assert_same_build(ts, horizon=None):
+        before = kernels.kernel_counters()
+        want_pts = edf_demand_points(ts, horizon)
+        want_w = demand_bound_array(ts, want_pts)
+        want_delta = kernels.counters_delta(before)
+        before = kernels.kernel_counters()
+        got_pts, got_w = edf_demand(ts, horizon)
+        assert kernels.counters_delta(before) == want_delta
+        for got, want in ((got_pts, want_pts), (got_w, want_w)):
+            assert got.dtype == want.dtype == np.float64
+            assert np.array_equal(got, want)
+        return want_delta
+
+    @pytest.mark.parametrize("dyadic", [False, True])
+    def test_random_rescalable_sets(self, dyadic):
+        rng = random.Random(29 if dyadic else 31)
+        built = 0
+        for _ in range(60):
+            ts = random_taskset(rng, dyadic)
+            sts = kernels.rescale(ts.tasks)
+            if sts is None:
+                continue
+            horizon = rng.choice([None, ts.hyperperiod() * rng.uniform(0.3, 2.5)])
+            with kernels.kernels_forced(True):
+                delta = self.assert_same_build(ts, horizon)
+            assert delta == {"fast": 2, "fallback": 0}
+            built += 1
+        assert built >= 40
+
+    def test_online_shaped_sets(self):
+        rng = np.random.default_rng(2007)
+        for i in range(30):
+            ts = generate_mixed_taskset(
+                int(rng.integers(2, 9)), float(rng.uniform(0.3, 2.0)), rng,
+                period_method="hyperperiod-limited",
+                period_hyperperiod=[720.0, 3600.0][i % 2],
+            )
+            with kernels.kernels_forced(True):
+                assert self.assert_same_build(ts)["fast"] == 2
+                self.assert_same_build(ts, float(rng.uniform(1.0, 7200.0)))
+
+    def test_refused_sets_take_the_two_calls(self):
+        big_denominator = TaskSet([Task("a", 0.01, 0.1), Task("b", 0.02, 0.3)])
+        assert kernels.rescale(big_denominator.tasks) is None
+        with kernels.kernels_forced(True):
+            delta = self.assert_same_build(big_denominator)
+            assert delta == {"fast": 0, "fallback": 2}
+            delta = self.assert_same_build(OVERFLOW_TASKS, 50_000.0)
+            assert delta["fast"] == 0
+
+    def test_unscalable_horizon_takes_the_two_calls(self):
+        ts = TaskSet([Task("x", 1.0, 2.0**50), Task("y", 1.0, 2.0**51)])
+        horizon = float(2**54)  # past MAX_SCALED: 16 points, off the kernels
+        assert kernels.scale_horizon(kernels.rescale(ts.tasks), horizon) is None
+        with kernels.kernels_forced(True):
+            delta = self.assert_same_build(ts, horizon)
+        assert delta == {"fast": 0, "fallback": 2}
+
+    def test_horizon_below_every_deadline(self, integer_pair):
+        with kernels.kernels_forced(True):
+            self.assert_same_build(integer_pair, 3.0)
+        assert edf_demand(integer_pair, 3.0)[0].size == 0
+
+    def test_kernels_off(self):
+        ts = TaskSet([Task("a", 1, 4, 3), Task("b", 2, 6, 5), Task("c", 0.5, 12)])
+        with kernels.kernels_forced(False):
+            assert self.assert_same_build(ts) == {"fast": 0, "fallback": 0}
+            assert self.assert_same_build(ts, 30.0) == {"fast": 0, "fallback": 0}
+
+    def test_empty_set(self):
+        for enabled in (True, False):
+            with kernels.kernels_forced(enabled):
+                assert self.assert_same_build(TaskSet()) == {"fast": 0, "fallback": 0}
+
+
+class TestDeadlinePoints:
+    @staticmethod
+    def reference(sts, horizon_scaled):
+        arrays = [
+            np.arange((horizon_scaled - d) // p + 1, dtype=np.int64) * p + d
+            for p, d in zip(sts.periods.tolist(), sts.deadlines.tolist())
+            if d <= horizon_scaled
+        ]
+        if not arrays:
+            return np.empty(0, dtype=np.int64)
+        return np.unique(np.concatenate(arrays))
+
+    def assert_matches_unique(self, ts, horizon_scaled):
+        sts = kernels.rescale(ts.tasks)
+        got = kernels.deadline_points(sts, horizon_scaled)
+        want = self.reference(sts, horizon_scaled)
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want)
+        return got
+
+    def test_duplicates_across_tasks(self):
+        ts = TaskSet([Task("a", 1, 4), Task("b", 1, 6), Task("c", 1, 12, 8)])
+        pts = self.assert_matches_unique(ts, 24)
+        assert pts.tolist() == [4, 6, 8, 12, 16, 18, 20, 24]
+
+    def test_single_task(self):
+        pts = self.assert_matches_unique(TaskSet([Task("a", 1, 5, 3)]), 20)
+        assert pts.tolist() == [3, 8, 13, 18]
+
+    def test_horizon_below_every_deadline(self, integer_pair):
+        assert self.assert_matches_unique(integer_pair, 3).size == 0
+
+    @pytest.mark.parametrize("dyadic", [False, True])
+    def test_random_sets(self, dyadic):
+        rng = random.Random(37 if dyadic else 41)
+        for _ in range(40):
+            ts = random_taskset(rng, dyadic)
+            sts = kernels.rescale(ts.tasks)
+            if sts is None:
+                continue
+            self.assert_matches_unique(ts, min(sts.hyperperiod, 20_000))
+            self.assert_matches_unique(ts, rng.randint(1, 20_000))
 
 
 def _f_quantum(t: np.ndarray, w: np.ndarray, period: float) -> np.ndarray:

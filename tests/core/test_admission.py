@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.core import AdmissionController
-from repro.model import Mode, Task
+from repro.core import AdmissionController, Overheads, design_platform
+from repro.model import Mode, Task, TaskSet
+from repro.partition import partition_by_modes
 
 
 @pytest.fixture
@@ -98,3 +99,25 @@ class TestAdmission:
         controller.try_admit(Task("snap", wcet=0.05, period=9, mode=Mode.NF))
         part = controller.partition()
         assert "snap" in part.mode_taskset(Mode.NF).names
+
+
+def test_duplicate_name_from_another_mode_rejected():
+    ts = TaskSet(
+        [
+            Task("a", 1.0, 10.0, mode=Mode.NF),
+            Task("b", 1.0, 10.0, mode=Mode.FS),
+            Task("c", 1.0, 10.0, mode=Mode.FT),
+        ]
+    )
+    part = partition_by_modes(ts, heuristic="worst-fit")
+    config = design_platform(part, "EDF", Overheads.uniform(0.05), "max-slack")
+    controller = AdmissionController(config, part)
+    slack = controller.slack
+    decision = controller.try_admit(Task("a", 0.5, 10.0, mode=Mode.FS))
+    assert not decision.admitted
+    assert decision.reason == "task 'a' already present"
+    assert decision.slack_left == controller.slack == slack
+    # the partition stays valid, and removal finds the original NF task
+    assert controller.partition() == part
+    controller.remove("a")
+    assert "a" not in controller.partition().mode_taskset(Mode.NF).names

@@ -261,6 +261,30 @@ def counting(monkeypatch):
     return counter
 
 
+def scanned_candidates(ctrl, config, task, dead, min_quantum) -> int:
+    """The live bins an arrival computes a ``minQ`` for: each in order, up
+    to and including the first that makes the best cost ``<= EPS``."""
+    mode = task.mode
+    usable = ctrl.usable_quantum(mode)
+    bins = ctrl.partition().bins(mode)
+    minqs = [min_quantum(ts, config.algorithm, config.period) for ts in bins]
+    scanned, best = 0, None
+    for idx, ts in enumerate(bins):
+        if (mode, idx) in dead:
+            continue
+        scanned += 1
+        trial = min_quantum(ts.add(task), config.algorithm, config.period)
+        new_minq = max([*minqs[:idx], trial, *minqs[idx + 1:]])
+        cost = max(new_minq - usable, 0.0)
+        if usable <= EPS and new_minq > EPS:
+            cost += config.schedule.overheads.of(mode)
+        if best is None or cost < best - EPS:
+            best = cost
+            if best <= EPS:
+                break
+    return scanned
+
+
 @pytest.mark.parametrize("algorithm", ["EDF", "RM"])
 def test_warm_mode_costs_one_minq_per_candidate(counting, algorithm):
     part, config, rng = deployment(3, algorithm)
@@ -272,12 +296,16 @@ def test_warm_mode_costs_one_minq_per_candidate(counting, algorithm):
 
     ctrl.kill_processor(Mode.FS, 0)
     dead = {(Mode.FS, 0)}
+    scans = []
     for step in range(30):
         task = arrival(rng, f"dyn{step}")
+        expected = scanned_candidates(ctrl, config, task, dead, counting.real)
         before = counting.calls
         ctrl.try_admit(task)
-        live = sum((task.mode, i) not in dead for i in range(bins[task.mode]))
-        assert counting.calls - before == live
+        assert counting.calls - before == expected
+        scans.append(
+            (expected, sum((task.mode, i) not in dead for i in range(bins[task.mode])))
+        )
         last = bins[task.mode] - 1
         present = task.name in ctrl.partition().mode_taskset(task.mode).names
         before = counting.calls
@@ -288,6 +316,42 @@ def test_warm_mode_costs_one_minq_per_candidate(counting, algorithm):
         before = counting.calls
         ctrl.remove(task.name)
         assert counting.calls - before == 1
+    # the sequence exercises both a full scan and an early stop
+    assert any(scanned == live for scanned, live in scans)
+    assert any(scanned < live for scanned, live in scans)
+
+
+@pytest.mark.parametrize("algorithm", ["EDF", "RM"])
+@pytest.mark.parametrize(
+    "wcets, chosen",
+    [
+        # the lightest bin first: it fits at zero cost, the scan stops there
+        ((2.0, 3.0, 4.0, 5.0), 0),
+        # the binding bin first: it grows by a hair, so bin 1 is tried too
+        ((5.0, 2.0, 3.0, 4.0), 1),
+    ],
+)
+def test_scan_stops_at_the_first_zero_cost_fit(counting, algorithm, wcets, chosen):
+    # four one-task NF bins in a 4-bin mode
+    part = PartitionedTaskSet(
+        {
+            Mode.NF: [TaskSet([Task(f"n{i}", c, 40.0)]) for i, c in enumerate(wcets)],
+            Mode.FS: [TaskSet([Task("s", 3.0, 30.0, mode=Mode.FS)])],
+            Mode.FT: [TaskSet([Task("f", 2.0, 60.0, mode=Mode.FT)])],
+        }
+    )
+    assert len(part.bins(Mode.NF)) == 4
+    config = design_platform(part, algorithm, Overheads.uniform(0.05), "max-slack")
+    ctrl = AdmissionController(config, part)
+    ref = ReferenceController(config, part)
+    ctrl.config()  # warm
+    task = Task("tiny", 1e-4, 40.0, mode=Mode.NF)
+    before = counting.calls
+    got = ctrl.try_admit(task)
+    assert counting.calls - before == chosen + 1
+    assert got == ref.try_admit(task)
+    assert got.admitted and got.processor == chosen and got.quantum_growth == 0.0
+    assert ctrl.config() == ref.config()
 
 
 def test_kill_of_a_warm_mode_computes_nothing(counting):

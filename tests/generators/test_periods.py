@@ -9,6 +9,34 @@ from repro.generators import (
     loguniform_periods,
     uniform_periods,
 )
+from repro.util import check_positive
+
+
+def reference_hyperperiod_limited_periods(
+    n, rng, *, low=10.0, high=1000.0, hyperperiod=3600.0
+):
+    """The generator before its divisor lattice was cached: it rebuilds the
+    divisors and their ``1/d`` probabilities on every call."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1: got {n}")
+    check_positive("low", low)
+    if high <= low:
+        raise ValueError(f"empty range [{low}, {high}]")
+    base = int(round(hyperperiod))
+    if base < 1 or abs(hyperperiod - base) > 1e-9:
+        raise ValueError(f"hyperperiod must be a positive integer: got {hyperperiod}")
+    divs = set()
+    for d in range(1, int(base**0.5) + 1):
+        if base % d == 0:
+            divs.add(d)
+            divs.add(base // d)
+    divisors = np.array(sorted(d for d in divs if low <= d <= high), dtype=float)
+    if len(divisors) < 2:
+        raise ValueError(
+            f"hyperperiod {base} has fewer than 2 divisors in [{low}, {high}]"
+        )
+    weights = 1.0 / divisors
+    return rng.choice(divisors, size=n, p=weights / weights.sum())
 
 
 class TestUniformPeriods:
@@ -91,3 +119,45 @@ class TestHyperperiodLimitedPeriods:
     def test_rejects_range_with_too_few_divisors(self, rng):
         with pytest.raises(ValueError):
             hyperperiod_limited_periods(5, rng, low=11, high=11.5, hyperperiod=3600)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {},
+            {"hyperperiod": 720.0},
+            {"low": 5, "high": 120, "hyperperiod": 720},
+            {"low": 10.0, "high": 1000.0, "hyperperiod": 3600.0},
+        ],
+    )
+    def test_cached_lattice_draws_match_reference(self, kwargs):
+        got_rng, want_rng = np.random.default_rng(17), np.random.default_rng(17)
+        for n in (1, 1, 3, 1, 50, 1):  # one draw per arrival, then batches
+            got = hyperperiod_limited_periods(n, got_rng, **kwargs)
+            want = reference_hyperperiod_limited_periods(n, want_rng, **kwargs)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            got[:] = 1.0  # a draw is the caller's own array
+        assert got_rng.random() == want_rng.random()
+
+    @pytest.mark.parametrize(
+        "args, kwargs",
+        [
+            ((0,), {}),
+            ((5,), {"low": 0.0}),
+            ((5,), {"low": -1.0}),
+            ((5,), {"low": 10, "high": 10}),
+            ((5,), {"hyperperiod": 3600.5}),
+            ((5,), {"hyperperiod": 0.0}),
+            ((5,), {"low": 11, "high": 11.5, "hyperperiod": 3600}),
+            ((5,), {"low": 7, "high": 8, "hyperperiod": 3600}),
+        ],
+    )
+    def test_errors_match_reference(self, args, kwargs):
+        for _ in range(2):  # a refused lattice is not cached
+            with pytest.raises(ValueError) as want:
+                reference_hyperperiod_limited_periods(
+                    *args, np.random.default_rng(0), **kwargs
+                )
+            with pytest.raises(ValueError) as got:
+                hyperperiod_limited_periods(*args, np.random.default_rng(0), **kwargs)
+            assert str(got.value) == str(want.value)
