@@ -156,7 +156,9 @@ def _aggregate(result: MulticoreResult, injected: int) -> FaultCampaignResult:
     by_mode: dict[Mode | None, dict[FaultOutcome, int]] = {}
     for rec in result.fault_records:
         outcomes[rec.outcome] += 1
-        slot = by_mode.setdefault(rec.mode, {o: 0 for o in FaultOutcome})
+        slot = by_mode.get(rec.mode)
+        if slot is None:  # a mode's row is built when the mode is first seen
+            slot = by_mode[rec.mode] = {o: 0 for o in FaultOutcome}
         slot[rec.outcome] += 1
     misses = result.misses
     ft_tasks = _ft_tasks(result)

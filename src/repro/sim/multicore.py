@@ -13,21 +13,24 @@
 3. every logical processor of every mode runs its partition bin with the
    local scheduler inside its windows — fail-silent faults black out the
    remainder of the silenced channel's slot and abort the running job;
-4. fault victims are resolved against the execution trace: an NF
+4. fault victims are resolved against what each processor ran: an NF
    corruption hits whatever job occupied the core at the fault instant
-   (a bisection over the processor's slices), a silenced fault the job its
-   abort killed (each processor's abort events are collected once);
-5. every processor's events, in processor order, and then the fault events
-   are sorted once, stably, into the run's trace; results are aggregated
-   into deadline, response-time and fault statistics.
+   (a bisection over the processor's slice columns), a silenced fault the
+   job its abort killed (each processor's abort events are collected once);
+5. the run's trace is deferred: when first read, every processor's events,
+   in processor order, and then the fault events of the final records are
+   sorted once, stably, into it. Results are aggregated into deadline,
+   response-time and fault statistics; the deadline misses join the
+   processors' misses without building any trace.
 
-A run's cost follows its events: cycles × windows for the timeline, one
-uniprocessor step per release, completion, abort or window edge, and one
-sort of the merged trace.
+A run's cost follows its events: cycles × windows for the timeline and
+one uniprocessor step per release, completion, abort or window edge. The
+merged trace costs one sort, paid only by a caller that reads it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -40,7 +43,13 @@ from repro.platform.modes import layout_for
 from repro.platform.switcher import ModeSwitchController, SegmentKind
 from repro.sim.events import EventKind, EventQueue
 from repro.sim.scheduler import make_policy
-from repro.sim.trace import EVENT_ORDER, SimEvent, SimEventKind, SimTrace
+from repro.sim.trace import (
+    EVENT_ORDER,
+    ExecutionSlice,
+    SimEvent,
+    SimEventKind,
+    SimTrace,
+)
 from repro.sim.uniproc import (
     UniprocResult,
     simulate_uniproc,
@@ -55,7 +64,10 @@ _EFFECT_TO_OUTCOME = {
 }
 
 
+@functools.cache
 def _proc_key(mode: Mode, index: int) -> str:
+    # Cached: the format goes through Enum.__format__, and a run asks for
+    # one processor's key once per fault on it.
     return f"{mode}[{index}]"
 
 
@@ -70,9 +82,15 @@ class MulticoreResult:
     fault_records: list[FaultRecord] = field(default_factory=list)
 
     @property
-    def misses(self) -> list:
-        """All deadline-miss events across processors."""
-        return self.trace.misses()
+    def misses(self) -> list[SimEvent]:
+        """All deadline-miss events across processors, in trace order.
+
+        The processors' misses in processor order, sorted once: the misses
+        of the merged trace, which this does not build.
+        """
+        misses = [e for res in self.processors.values() for e in res.misses]
+        misses.sort(key=EVENT_ORDER)
+        return misses
 
     @property
     def miss_count(self) -> int:
@@ -280,31 +298,22 @@ class MulticoreSim:
                         detail=f"hit {seg.kind} time",
                     )
                 )
-            elif outcome is FaultOutcome.MASKED:
-                records.append(
-                    FaultRecord(
-                        fault, outcome, mode, _proc_key(mode, chan),
-                        detail="majority vote over redundant lock-step",
-                    )
-                )
+                continue
+            if outcome is FaultOutcome.MASKED:
+                detail = "majority vote over redundant lock-step"
             elif outcome is FaultOutcome.SILENCED:
                 key = (mode, chan)
                 aborts.setdefault(key, []).append(fault.time)
                 blackouts.setdefault(key, []).append((fault.time, seg.end))
                 # The victim (running job) is filled in after simulation.
-                records.append(
-                    FaultRecord(
-                        fault, outcome, mode, _proc_key(mode, chan),
-                        detail=f"channel blocked until {seg.end:g}",
-                    )
+                detail = f"channel blocked until {seg.end:g}"
+            else:  # CORRUPTED — resolved against the slice columns afterwards
+                detail = "undetected soft error"
+            records.append(
+                FaultRecord(
+                    fault, outcome, mode, _proc_key(mode, chan), detail=detail
                 )
-            else:  # CORRUPTED — resolved against the trace afterwards
-                records.append(
-                    FaultRecord(
-                        fault, outcome, mode, _proc_key(mode, chan),
-                        detail="undetected soft error",
-                    )
-                )
+            )
 
         # 2. run every logical processor on the tasks the drain delivered
         processors: dict[str, UniprocResult] = {}
@@ -329,16 +338,8 @@ class MulticoreSim:
                     abort_events=aborts.get((mode, idx), ()),
                 )
                 processors[key] = result
-        # Every processor's events in processor order, then the fault events
-        # below, sorted once at the end. The sort is stable, so events with
-        # equal keys keep this order: the order that merging the traces one
-        # by one and then logging the faults gave.
-        merged = SimTrace(horizon)
-        for res in processors.values():
-            merged.slices.extend(res.trace.slices)
-            merged.events.extend(res.trace.events)
 
-        # 3. resolve fault victims against the executed trace
+        # 3. resolve fault victims against what the processors ran
         final_records: list[FaultRecord] = []
         abort_log: dict[str, list[SimEvent]] = {}
         for rec in records:
@@ -356,18 +357,16 @@ class MulticoreSim:
             if rec.processor in processors:
                 res = processors[rec.processor]
                 if rec.outcome is FaultOutcome.CORRUPTED:
-                    victim = res.job_running_at(rec.fault.time)
-                    if victim is None:
+                    job = res.running_job(rec.fault.time)
+                    if job is None:
                         rec = FaultRecord(
                             rec.fault, FaultOutcome.HARMLESS, rec.mode,
                             rec.processor, detail="core was idle",
                         )
                     else:
                         # Mark the job object for downstream consumers.
-                        for j in res.jobs:
-                            if j.name == victim:
-                                j.corrupted = True
-                                break
+                        job.corrupted = True
+                        victim = job.name
                 elif rec.outcome is FaultOutcome.SILENCED:
                     # The victim is the job the abort event killed at this time.
                     if rec.processor not in abort_log:
@@ -384,19 +383,31 @@ class MulticoreSim:
                     victim=victim, detail=rec.detail,
                 )
             final_records.append(rec)
-            merged.log(
-                rec.fault.time,
-                SimEventKind.FAULT,
-                f"core{rec.fault.core}",
-                detail=f"{rec.outcome}"
-                + (f" victim={rec.victim}" if rec.victim else ""),
-            )
-        merged.events.sort(key=EVENT_ORDER)
+
+        def build() -> tuple[list[ExecutionSlice], list[SimEvent]]:
+            # Every processor's events in processor order, then the fault
+            # events in record order. The trace's sort is stable, so events
+            # with equal keys keep this order: the order that merging the
+            # traces one by one and then logging the faults gave.
+            slices = [s for res in processors.values() for s in res.trace.slices]
+            events = [e for res in processors.values() for e in res.trace.events]
+            events += [
+                SimEvent(
+                    rec.fault.time,
+                    SimEventKind.FAULT,
+                    f"core{rec.fault.core}",
+                    f"{rec.outcome}"
+                    + (f" victim={rec.victim}" if rec.victim else ""),
+                )
+                for rec in final_records
+            ]
+            return slices, events
+
         return MulticoreResult(
             horizon=horizon,
             schedule=self._schedule,
             processors=processors,
-            trace=merged,
+            trace=SimTrace.deferred(horizon, build),
             fault_records=final_records,
         )
 

@@ -1,11 +1,21 @@
-"""Simulation traces: execution slices, events, metrics, ASCII Gantt."""
+"""Simulation traces: execution slices, events, metrics, ASCII Gantt.
+
+A :class:`SimTrace` is built one of two ways. The global simulator builds
+it eagerly, one :meth:`~SimTrace.add_slice` and :meth:`~SimTrace.log` at a
+time. The partitioned simulators defer it (:meth:`SimTrace.deferred`): they
+record what ran in their own columns, log only the rare events as they
+happen, and hand over a function that assembles the ``slices`` and
+``events`` lists from those records. The lists are assembled on their
+first read and are plain lists from then on, so a fault campaign, which
+reads only the misses and the aborts, never builds one.
+"""
 
 from __future__ import annotations
 
 import enum
 import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Callable, Iterable
 
 from repro.model import Job, Mode
 from repro.util import EPS
@@ -63,13 +73,68 @@ class ExecutionSlice:
         return self.end - self.start
 
 
+#: The event kinds a deferred trace answers for before it is built: rare,
+#: logged as they happen, and all a fault campaign's verdict reads.
+LOGGED_KINDS = frozenset({SimEventKind.DEADLINE_MISS, SimEventKind.ABORT})
+
+
 @dataclass
 class SimTrace:
-    """Aggregated output of a simulation run."""
+    """Aggregated output of a simulation run.
+
+    A deferred trace (see :meth:`deferred`) has no ``slices`` or ``events``
+    attribute until one of them is read; that read builds both.
+    """
 
     horizon: float
     slices: list[ExecutionSlice] = field(default_factory=list)
     events: list[SimEvent] = field(default_factory=list)
+
+    # A deferred trace's builder and logged events, until it is built. Not
+    # fields: the constructor, ``==`` and ``repr`` see only the lists.
+    _build = None
+    _logged = None
+
+    @classmethod
+    def deferred(
+        cls,
+        horizon: float,
+        build: Callable[[], tuple[list[ExecutionSlice], list[SimEvent]]],
+        logged: list[SimEvent] | None = None,
+    ) -> "SimTrace":
+        """A trace whose ``slices`` and ``events`` ``build()`` returns.
+
+        ``build`` runs once, on the first read of either list; its events
+        may come in any order and are sorted then by :data:`EVENT_ORDER`.
+        ``logged``, when given, holds every event of the
+        :data:`LOGGED_KINDS` that ``build`` will return, in the same
+        relative order: until the trace is built, :meth:`events_of` reads
+        those kinds from it. Filtering a stable-sorted list gives the same
+        result as stable-sorting the filtered list, so the answer is the
+        same either way.
+        """
+        trace = cls.__new__(cls)
+        trace.horizon = horizon
+        trace._build = build
+        trace._logged = logged
+        return trace
+
+    def __getattr__(self, name: str):
+        # Normal lookup failed: a deferred trace's lists before their first
+        # read. Build both, and keep them as plain attributes.
+        if name not in ("slices", "events") or self._build is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        slices, events = self._build()
+        events.sort(key=EVENT_ORDER)
+        self.slices, self.events = slices, events
+        self._build = self._logged = None
+        return self.__dict__[name]
+
+    def __getstate__(self) -> dict:
+        # A builder is a closure, which does not pickle: copy the lists.
+        return {"horizon": self.horizon, "slices": self.slices, "events": self.events}
 
     def add_slice(self, s: ExecutionSlice) -> None:
         """Append an execution slice, merging with a contiguous predecessor."""
@@ -94,6 +159,10 @@ class SimTrace:
 
     def events_of(self, kind: SimEventKind) -> list[SimEvent]:
         """All events of one kind, in time order."""
+        if self._logged is not None and kind in LOGGED_KINDS:
+            return sorted(
+                (e for e in self._logged if e.kind is kind), key=EVENT_ORDER
+            )
         return [e for e in self.events if e.kind is kind]
 
     def misses(self) -> list[SimEvent]:

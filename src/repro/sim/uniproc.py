@@ -16,23 +16,25 @@ the misses of ready jobs past their deadline, asks the policy for a job and
 runs it to the next event, so its cost is the ready set plus one policy
 call. Completed jobs leave the ready set when they complete and aborted
 jobs when the abort fires, so the ready set only ever holds ``READY`` jobs.
+
+The loop records columns, not trace records: each execution slice as its
+job, start and end in three parallel lists, and as events only the rare
+deadline misses and aborts. The RELEASE events are the releases the loop
+admitted and the COMPLETION events the completed jobs' completion times, so
+the result's :class:`~repro.sim.trace.SimTrace` is deferred and builds its
+slices and events from these records when first read.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from repro.model import Job, JobState, TaskSet
 from repro.sim.scheduler import SchedulingPolicy
-from repro.sim.trace import (
-    EVENT_ORDER,
-    ExecutionSlice,
-    SimEvent,
-    SimEventKind,
-    SimTrace,
-)
+from repro.sim.trace import ExecutionSlice, SimEvent, SimEventKind, SimTrace
 from repro.util import EPS, check_positive
 
 
@@ -116,12 +118,20 @@ class UniprocResult:
     jobs:
         Every job instance released before the horizon.
     trace:
-        Slices and events of this processor.
+        Slices and events of this processor, built from the run's records
+        when first read (see :meth:`~repro.sim.trace.SimTrace.deferred`).
+    slice_columns:
+        The run's execution slices as three parallel columns, in time
+        order: the :class:`~repro.model.Job` that ran, and the slice's start
+        and end. ``trace.slices`` is built from them.
     """
 
     processor: str
     jobs: list[Job]
     trace: SimTrace
+    slice_columns: tuple[list[Job], list[float], list[float]] = field(
+        default_factory=lambda: ([], [], []), repr=False
+    )
 
     @property
     def misses(self) -> list[SimEvent]:
@@ -152,18 +162,24 @@ class UniprocResult:
         rts = self.response_times().get(task)
         return max(rts) if rts else None
 
-    def job_running_at(self, t: float) -> str | None:
-        """Job name executing at instant ``t`` (None when idle).
+    def running_job(self, t: float) -> Job | None:
+        """The job executing at instant ``t`` (None when idle).
 
-        The first slice with ``start - EPS <= t < end - EPS``. Slices are in
-        time order and do not overlap, so both bounds grow along the list:
-        the slices passing the first test are a prefix, those passing the
-        second a suffix, and two bisections find the first slice in both.
+        The job of the first slice with ``start - EPS <= t < end - EPS``.
+        Slices are in time order and do not overlap, so both bounds grow
+        along the columns: the slices passing the first test are a prefix,
+        those passing the second a suffix, and two bisections find the
+        first slice in both.
         """
-        slices = self.trace.slices
-        first = bisect.bisect_right(slices, t, key=lambda s: s.end - EPS)
-        started = bisect.bisect_right(slices, t, key=lambda s: s.start - EPS)
-        return slices[first].job if first < started else None
+        ran, starts, ends = self.slice_columns
+        first = bisect.bisect_right(ends, t, key=lambda end: end - EPS)
+        started = bisect.bisect_right(starts, t, key=lambda start: start - EPS)
+        return ran[first] if first < started else None
+
+    def job_running_at(self, t: float) -> str | None:
+        """Name of the job executing at instant ``t`` (None when idle)."""
+        job = self.running_job(t)
+        return job.name if job is not None else None
 
 
 def simulate_uniproc(
@@ -197,11 +213,11 @@ def simulate_uniproc(
 
     Returns
     -------
-    :class:`UniprocResult` with all jobs, slices and events.
+    :class:`UniprocResult` with all jobs and the run's slice columns. Its
+    trace builds the slices and events from the run's records on first read.
     """
     check_positive("horizon", horizon)
     offsets = release_offsets or {}
-    trace = SimTrace(horizon)
     windows = merge_windows(windows, horizon)
     aborts = sorted(t for t in abort_events if 0.0 <= t < horizon)
 
@@ -212,6 +228,12 @@ def simulate_uniproc(
         off = float(offsets.get(task.name, 0.0))
         if off < 0:
             raise ValueError(f"release offset of {task.name} must be >= 0")
+        if not math.isfinite(off):
+            # A NaN offset passes the test above and never reaches the
+            # horizon below: the release loop would never end.
+            raise ValueError(
+                f"release offset of {task.name} must be finite: got {off}"
+            )
         k = 0
         while True:
             r = off + k * task.period
@@ -223,13 +245,18 @@ def simulate_uniproc(
             k += 1
     releases.sort(key=lambda p: (p[0], p[1].task.name))
     release_times = [r for r, _ in releases]
+    release_jobs = [job for _, job in releases]
     n_releases, n_aborts = len(releases), len(aborts)
 
-    READY = JobState.READY
-    RELEASE, COMPLETION = SimEventKind.RELEASE, SimEventKind.COMPLETION
+    READY, COMPLETED = JobState.READY, JobState.COMPLETED
     MISS, ABORT = SimEventKind.DEADLINE_MISS, SimEventKind.ABORT
     select = policy.select
-    slices, events = trace.slices, trace.events
+    # The slice columns, and the only events logged as they happen.
+    ran: list[Job] = []
+    starts: list[float] = []
+    ends: list[float] = []
+    logged: list[SimEvent] = []
+    last = None  # the job of the last slice
     ready: list[Job] = []
     missed: set[str] = set()
     rel_idx = 0
@@ -246,9 +273,7 @@ def simulate_uniproc(
             while abort_idx < n_aborts and aborts[abort_idx] <= soon:
                 abort_idx += 1
             while rel_idx < n_releases and release_times[rel_idx] <= soon:
-                r, job = releases[rel_idx]
-                ready.append(job)
-                events.append(SimEvent(r, RELEASE, job.name))
+                ready.append(release_jobs[rel_idx])
                 rel_idx += 1
             # Log (once) every active job whose deadline has passed.
             late = now - EPS
@@ -259,7 +284,7 @@ def simulate_uniproc(
                     and job.name not in missed
                 ):
                     missed.add(job.name)
-                    events.append(
+                    logged.append(
                         SimEvent(
                             job.absolute_deadline, MISS, job.name,
                             f"remaining={job.remaining:g}",
@@ -287,25 +312,23 @@ def simulate_uniproc(
                 used = run_until - now
                 remaining -= remaining if remaining < used else used
                 job.remaining = remaining = 0.0 if remaining <= EPS else remaining
-                name = job.name
-                # SimTrace.add_slice, inlined: every slice here is this
-                # processor's, so only the job and the gap are compared.
-                prev = slices[-1] if slices else None
-                if prev is not None and prev.job == name and abs(prev.end - now) <= EPS:
-                    slices[-1] = ExecutionSlice(
-                        processor, name, prev.task, prev.start, run_until
-                    )
+                # SimTrace.add_slice on the columns: the job that ran last
+                # continuing after a gap of at most EPS extends its slice.
+                # Job names are unique on a processor, so comparing the jobs
+                # is comparing their names.
+                if job is last and abs(ends[-1] - now) <= EPS:
+                    ends[-1] = run_until
                 else:
-                    slices.append(
-                        ExecutionSlice(processor, name, job.task.name, now, run_until)
-                    )
+                    ran.append(job)
+                    starts.append(now)
+                    ends.append(run_until)
+                    last = job
             if remaining <= EPS and job.state is READY:
-                name = job.name
                 job.complete(run_until)
-                events.append(SimEvent(run_until, COMPLETION, name))
+                name = job.name
                 if run_until > job.absolute_deadline + EPS and name not in missed:
                     missed.add(name)
-                    events.append(
+                    logged.append(
                         SimEvent(
                             job.absolute_deadline, MISS, name,
                             f"completed late at {run_until:g}",
@@ -321,7 +344,7 @@ def simulate_uniproc(
                 while abort_idx < n_aborts and aborts[abort_idx] <= soon:
                     if victim is not None:
                         victim.abort()
-                        events.append(
+                        logged.append(
                             SimEvent(
                                 aborts[abort_idx], ABORT, victim.name,
                                 "channel silenced",
@@ -339,11 +362,36 @@ def simulate_uniproc(
             and job.name not in missed
         ):
             missed.add(job.name)
-            trace.log(
-                job.absolute_deadline,
-                SimEventKind.DEADLINE_MISS,
-                job.name,
-                detail=f"unfinished at horizon (remaining={job.remaining:g})",
+            logged.append(
+                SimEvent(
+                    job.absolute_deadline, MISS, job.name,
+                    f"unfinished at horizon (remaining={job.remaining:g})",
+                )
             )
-    events.sort(key=EVENT_ORDER)
-    return UniprocResult(processor, jobs, trace)
+    admitted = rel_idx
+
+    def build() -> tuple[list[ExecutionSlice], list[SimEvent]]:
+        # Each job has at most one release, completion, miss and abort, and
+        # job names are unique here, so no two events share a sort key: the
+        # trace's one sort gives the order whatever order they come in.
+        slices = [
+            ExecutionSlice(processor, job.name, job.task.name, start, end)
+            for job, start, end in zip(ran, starts, ends)
+        ]
+        released = release_jobs[:admitted]
+        events = [
+            SimEvent(job.release, SimEventKind.RELEASE, job.name)
+            for job in released
+        ]
+        events += [
+            SimEvent(job.completion_time, SimEventKind.COMPLETION, job.name)
+            for job in released
+            if job.state is COMPLETED
+        ]
+        events += logged
+        return slices, events
+
+    return UniprocResult(
+        processor, jobs, SimTrace.deferred(horizon, build, logged),
+        (ran, starts, ends),
+    )

@@ -163,9 +163,12 @@ class TestWindowedExecution:
         assert [j.release for j in res.jobs] == [2.0, 6.0, 10.0]
 
     def test_negative_offset_rejected(self):
+        # NaN passes an ``off < 0`` test and never reaches the horizon: the
+        # release loop would not end. Non-finite offsets are rejected too.
         ts = TaskSet([Task("a", 1, 4)])
-        with pytest.raises(ValueError):
-            run(ts, horizon=12.0, release_offsets={"a": -1.0})
+        for off in (-1.0, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError):
+                run(ts, horizon=12.0, release_offsets={"a": off})
 
 
 class TestAbortEvents:
