@@ -1,9 +1,11 @@
 """Admission throughput: live admission decisions/sec and online points/sec.
 
-An ``online`` campaign point spends nearly all of its time deciding
-arrivals and departures in :class:`repro.core.admission.AdmissionController`
-(the event queue around it is under 1% of a point). This benchmark times
-that layer directly and end to end:
+An ``online`` campaign point spends most of its time deciding arrivals
+and departures in :class:`repro.core.admission.AdmissionController`. On
+perfbench's ``online-admit`` workload (seed 2007, one traced pass) that is
+~57% of a point; the simulation loop around it takes ~8%, and its event
+queue alone ~2% (cProfile). This benchmark times that layer directly and
+end to end:
 
 * **decisions/sec** — a seeded arrival stream shaped like the ``online``
   preset's (NF-skewed modes, periods on the 3600 divisor lattice, 2-8%
@@ -14,7 +16,9 @@ that layer directly and end to end:
   one worker.
 
 Determinism gates: two replays of the arrival stream must give identical
-decision lists, and two runs of the grid byte-identical aggregates.
+decision lists, a third replay with the fast kernels off must decide the
+same (the float fallback against the integer-grid trials), and two runs
+of the grid must fold byte-identical aggregates.
 
 Standalone on purpose (no pytest-benchmark dependency), so CI can run it
 as a smoke step and the table lands in the job log:
@@ -34,6 +38,7 @@ import time
 
 import numpy as np
 
+from repro.analysis import kernels
 from repro.core import AdmissionController, DesignError, Overheads, design_platform
 from repro.experiments.online import online_aggregator, online_specs
 from repro.generators import generate_mixed_taskset
@@ -145,6 +150,11 @@ def main(argv: list[str] | None = None) -> int:
     elapsed_b, second = replay(workload)
     if first != second:
         print("FAIL: two replays of the arrival stream decided differently")
+        failed = True
+    with kernels.kernels_forced(False):
+        _, fallback = replay(workload)
+    if fallback != first:
+        print("FAIL: the arrival stream decided differently with the fast kernels off")
         failed = True
     count = len(first)
     admits = sum(1 for kind, _, d in first if kind == "admit" and d.admitted)

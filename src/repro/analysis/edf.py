@@ -35,6 +35,7 @@ from repro.util import (
     approx_le,
     boundary_le,
     boundary_lt,
+    check_nonneg,
     check_positive,
     fuzzy_floor,
     fuzzy_floor_array,
@@ -42,9 +43,13 @@ from repro.util import (
 
 
 def demand_bound_function(taskset: TaskSet, t: float) -> float:
-    """EDF demand ``W(t)`` of Eq. 9 at a single point ``t >= 0``."""
-    if t < 0:
-        raise ValueError(f"t must be >= 0: got {t}")
+    """EDF demand ``W(t)`` of Eq. 9 at a single point ``t >= 0``.
+
+    ``t`` may be any finite real scalar (``int``, ``float`` or a NumPy
+    scalar); it is taken as a float on both paths.
+    """
+    t = float(t)
+    check_nonneg("t", t)
     if kernels.fast_kernels_enabled() and len(taskset):
         sts = kernels.rescale(taskset.tasks)
         t_scaled = kernels.scale_scalar(sts, t) if sts is not None else None

@@ -26,14 +26,23 @@ Otherwise :func:`rescale` returns ``None`` and callers keep the existing
 float path — kernel selection is per task set, per call, with module-level
 fast/fallback counters the campaign engine aggregates into its stats line.
 
-**Vector kernels** — deadline sets (``np.arange`` per task, one in-place
-sort, adjacent duplicates dropped), Eq. 9 demand job counts and Eq. 5
-interference counts in pure ``int64`` (no ``EPS`` anywhere). Demand totals
-accumulate in float, per task in the same order as the float path, so
-whenever job counts agree (always, on rescalable sets) the totals are
-bit-identical. :func:`repro.analysis.edf.edf_demand` feeds the integer
-deadline points straight into :func:`demand_array`, so an EDF build stays
-on the integer grid until one final conversion to float.
+:func:`extend` derives the time base of a set plus one task from the
+set's own, without a rescale: the scale and the hyperperiod are lcms, the
+arrays gain one entry, and the bounds above are checked on the final
+values. Run-time admission tries each arriving task against every
+candidate bin, so it derives each trial's time base from the bin's.
+
+**Vector kernels** — job deadlines (one ``np.arange`` per task;
+:func:`deadline_points` sorts them in place and drops adjacent
+duplicates), Eq. 9 demand job counts and Eq. 5 interference counts in
+pure ``int64`` (no ``EPS`` anywhere). Demand totals accumulate in float,
+per task in the same order as the float path, so whenever job counts agree
+(always, on rescalable sets) the totals are bit-identical.
+:func:`repro.analysis.edf.edf_demand` feeds the integer deadline points
+straight into :func:`demand_array`, so an EDF build stays on the integer
+grid until one final conversion to float; the fixed-period ``minQ`` of
+:mod:`repro.core.minq` takes the unsorted :func:`job_deadlines`, since a
+max needs neither order nor uniqueness.
 
 **Scalar kernels** — QPA and the synchronous busy period in arbitrary-
 precision Python integers: WCETs are exact dyadic rationals too, so the
@@ -57,8 +66,8 @@ groups; :class:`~repro.core.integration.SystemCurve` stacks every bin's
 groups per mode and evaluates them in one pass for the period sweeps of
 :class:`~repro.core.region.FeasibleRegion`, and
 :meth:`~repro.core.minq.QuantumCurve.evaluate` serves a standalone curve.
-The single-period :func:`~repro.core.minq.min_quantum` behind run-time
-admission skips the hull.
+The single-period :func:`~repro.core.minq.min_quantum` and the admission
+trials behind run-time admission skip the hull.
 """
 
 from __future__ import annotations
@@ -251,6 +260,55 @@ def rescale(tasks: Sequence[Task]) -> ScaledTaskSet | None:
     return _rescale_cached(tuple(tasks))
 
 
+def extend(sts: ScaledTaskSet, task: Task) -> ScaledTaskSet | None:
+    """``rescale(sts.tasks + (task,))``, derived from ``sts`` in O(n).
+
+    Equal to the rescale field by field, and ``None`` exactly when it is:
+    the scale and the hyperperiod are lcms, and the partial lcms only grow,
+    so checking the final values applies :func:`rescale`'s bounds. When
+    the scale grows by ``r``, every scaled time of ``sts`` grows by ``r``;
+    when the WCET denominator grows, so do the WCET numerators.
+    """
+    p_num, p_den = task.period.as_integer_ratio()
+    d_num, d_den = task.deadline.as_integer_ratio()
+    if p_den > MAX_DENOMINATOR or d_den > MAX_DENOMINATOR:
+        return None
+    scale = math.lcm(sts.scale, p_den, d_den)
+    r = scale // sts.scale
+    period = p_num * (scale // p_den)
+    hyper = math.lcm(sts.hyperperiod * r, period)
+    # Periods are >= 1, so this also refuses a hyperperiod over MAX_SCALED.
+    if hyper + max(max(sts.periods.tolist()) * r, period) > MAX_SCALED:
+        return None
+    n = len(sts.tasks)
+    periods = np.empty(n + 1, dtype=np.int64)
+    deadlines = np.empty(n + 1, dtype=np.int64)
+    wcets = np.empty(n + 1, dtype=np.float64)
+    periods[:n] = sts.periods
+    deadlines[:n] = sts.deadlines
+    wcets[:n] = sts.wcets
+    if r != 1:
+        periods[:n] *= r
+        deadlines[:n] *= r
+    periods[n] = period
+    deadlines[n] = d_num * (scale // d_den)
+    wcets[n] = task.wcet
+    c_num, c_den = task.wcet.as_integer_ratio()
+    wcet_den = math.lcm(sts.wcet_den, c_den)
+    grow = wcet_den // sts.wcet_den
+    wcet_nums = sts.wcet_nums if grow == 1 else tuple(c * grow for c in sts.wcet_nums)
+    return ScaledTaskSet(
+        tasks=sts.tasks + (task,),
+        scale=scale,
+        periods=periods,
+        deadlines=deadlines,
+        wcets=wcets,
+        wcet_nums=wcet_nums + (c_num * (wcet_den // c_den),),
+        wcet_den=wcet_den,
+        hyperperiod=hyper,
+    )
+
+
 # -- time conversion -----------------------------------------------------------
 
 
@@ -289,8 +347,13 @@ def scale_points(sts: ScaledTaskSet, ts: np.ndarray) -> np.ndarray | None:
 
 
 def scale_scalar(sts: ScaledTaskSet, t: float) -> int | None:
-    """Scalar version of :func:`scale_points`."""
-    scaled = t * sts.scale
+    """Scalar version of :func:`scale_points`.
+
+    ``t`` may be any real scalar (``int``, ``float`` or a NumPy scalar); it
+    is taken as a float, as the float path takes it, so the power-of-two
+    multiply is exact and cannot wrap.
+    """
+    scaled = float(t) * sts.scale
     if not (scaled.is_integer() and 0 <= scaled <= MAX_SCALED):
         return None
     return int(scaled)
@@ -299,23 +362,33 @@ def scale_scalar(sts: ScaledTaskSet, t: float) -> int | None:
 # -- vector kernels ------------------------------------------------------------
 
 
+def job_deadlines(sts: ScaledTaskSet, horizon_scaled: int) -> np.ndarray:
+    """Every job's absolute deadline ``k*T_i + D_i`` in ``(0, horizon]``.
+
+    ``int64``, task by task in task-set order: unsorted, and a deadline
+    that several tasks share appears once per task. A max over the points
+    needs neither order nor uniqueness; :func:`deadline_points` is the
+    sorted unique ``dlSet``.
+    """
+    return np.concatenate(
+        [
+            np.arange(d, horizon_scaled + 1, p, dtype=np.int64)
+            for p, d in zip(sts.periods.tolist(), sts.deadlines.tolist())
+        ]
+    )
+
+
 def deadline_points(sts: ScaledTaskSet, horizon_scaled: int) -> np.ndarray:
     """``dlSet`` on the integer grid: every ``k*T_i + D_i`` in ``(0, horizon]``.
 
     Sorted unique ``int64``; no tolerance anywhere — a deadline exactly at
     the horizon is included, one past it is not.
     """
-    arrays: list[np.ndarray] = []
-    for p, d in zip(sts.periods.tolist(), sts.deadlines.tolist()):
-        if d > horizon_scaled:
-            continue
-        count = (horizon_scaled - d) // p + 1
-        arrays.append(np.arange(count, dtype=np.int64) * p + d)
-    if not arrays:
-        return np.empty(0, dtype=np.int64)
     # np.unique costs more than this at dlSet sizes: sort in place, then
     # keep each element that differs from its predecessor.
-    pts = np.concatenate(arrays)
+    pts = job_deadlines(sts, horizon_scaled)
+    if not pts.size:
+        return pts
     pts.sort()
     keep = np.empty(pts.size, dtype=bool)
     keep[0] = True
@@ -329,13 +402,14 @@ def demand_array(sts: ScaledTaskSet, t_scaled: np.ndarray) -> np.ndarray:
     Job counts are exact ``int64`` floors; the WCET-weighted total
     accumulates in float in the same per-task order as the float path, so
     the result is bit-identical whenever the float path counts jobs
-    correctly.
+    correctly. (An ``int64`` array times a Python float is the same IEEE
+    product as the counts cast to ``float64`` times the WCET.)
     """
     total = np.zeros(t_scaled.shape, dtype=np.float64)
-    for i in range(len(sts.tasks)):
-        p = sts.periods[i]
-        jobs = (t_scaled + (p - sts.deadlines[i])) // p
-        total += jobs.astype(np.float64) * sts.wcets[i]
+    for p, d, wcet in zip(
+        sts.periods.tolist(), sts.deadlines.tolist(), sts.wcets.tolist()
+    ):
+        total += ((t_scaled + (p - d)) // p) * wcet
     return total
 
 
@@ -546,7 +620,9 @@ __all__ = [
     "counters_delta",
     "deadline_points",
     "demand_array",
+    "extend",
     "fast_kernels_enabled",
+    "job_deadlines",
     "kernel_counters",
     "kernels_forced",
     "note_selection",

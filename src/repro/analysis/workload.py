@@ -23,7 +23,12 @@ from repro.util import check_positive, fuzzy_ceil, fuzzy_ceil_array
 
 
 def fp_workload(task: Task, higher_priority: Sequence[Task], t: float) -> float:
-    """``W_i(t)`` at a single point ``t > 0`` (Eq. 5)."""
+    """``W_i(t)`` at a single point ``t > 0`` (Eq. 5).
+
+    ``t`` may be any finite real scalar (``int``, ``float`` or a NumPy
+    scalar); it is taken as a float on both paths.
+    """
+    t = float(t)
     check_positive("t", t)
     if kernels.fast_kernels_enabled():
         sts = kernels.rescale((task, *higher_priority))

@@ -17,6 +17,15 @@ when that bin changes. An arrival costs at most one ``minQ`` per live
 candidate bin, and none after the first candidate that fits at zero cost;
 a departure costs one.
 
+Under EDF with the fast kernels on, each bin also keeps its integer time
+base (:class:`~repro.analysis.kernels.ScaledTaskSet`). A trial derives the
+time base of the bin plus the arriving task from it
+(:func:`~repro.analysis.kernels.extend`) and evaluates Eq. 11 at ``P`` on
+it in one call (:func:`~repro.core.minq.min_quantum_edf_scaled`); the
+committed trial's time base becomes the bin's. A trial under RM/DM, with
+the kernels off, on an empty bin, or whose time base does not derive,
+takes :func:`~repro.core.minq.min_quantum` on the bin with the task added.
+
 The controller never changes ``P`` — changing the major period would require
 a platform-level resynchronisation, exactly what the paper's design avoids.
 """
@@ -25,8 +34,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.analysis import kernels
 from repro.core.config import PlatformConfig, SlotSchedule
-from repro.core.minq import min_quantum
+from repro.core.minq import min_quantum, min_quantum_edf_scaled
 from repro.model import Mode, PartitionedTaskSet, Task, TaskSet
 from repro.util import EPS
 
@@ -92,6 +102,10 @@ class AdmissionController:
         #: Per-bin ``minQ`` at ``P``, parallel to ``_bins``; filled per mode
         #: on first use, then updated wherever a bin changes.
         self._minq: dict[Mode, list[float]] = {}
+        #: Per-bin integer time base (``None``: the bin does not rescale),
+        #: built on a bin's first EDF trial, replaced by the committed
+        #: trial's and dropped wherever else the bin changes.
+        self._grids: dict[tuple[Mode, int], kernels.ScaledTaskSet | None] = {}
         self._slack = config.slack
         self._dead: set[tuple[Mode, int]] = set()
 
@@ -150,6 +164,22 @@ class AdmissionController:
     def _mode_minq(self, mode: Mode) -> float:
         return max(self._bin_minqs(mode), default=0.0)
 
+    def _trial_minq(
+        self, mode: Mode, idx: int, task: Task
+    ) -> tuple[float, kernels.ScaledTaskSet | None]:
+        """``minQ`` of bin ``idx`` with ``task`` added, and the trial's
+        integer time base when it was derived from the bin's."""
+        ts = self._bins[mode][idx]
+        if self._alg == "EDF" and kernels.fast_kernels_enabled():
+            key = (mode, idx)
+            if key not in self._grids:
+                self._grids[key] = kernels.rescale(ts.tasks)
+            grid = self._grids[key]
+            trial = None if grid is None else kernels.extend(grid, task)
+            if trial is not None:
+                return min_quantum_edf_scaled(trial, self._period), trial
+        return self._bin_minq(ts.add(task)), None
+
     # -- operations -----------------------------------------------------------------
 
     def try_admit(self, task: Task, processor: int | None = None) -> AdmissionDecision:
@@ -171,8 +201,10 @@ class AdmissionController:
                 reason=f"task {task.name!r} already present",
             )
         candidates = range(len(bins)) if processor is None else [processor]
-        # (cost, idx, new mode minQ, new bin minQ)
-        best: tuple[float, int, float, float] | None = None
+        # (cost, idx, new mode minQ, new bin minQ, new bin grid)
+        best: (
+            tuple[float, int, float, float, kernels.ScaledTaskSet | None] | None
+        ) = None
         for idx in candidates:
             if not 0 <= idx < len(bins):
                 return AdmissionDecision(
@@ -187,7 +219,7 @@ class AdmissionController:
                     )
                 continue
             minqs = self._bin_minqs(mode)
-            bin_minq = self._bin_minq(bins[idx].add(task))
+            bin_minq, grid = self._trial_minq(mode, idx, task)
             new_minq = max([*minqs[:idx], bin_minq, *minqs[idx + 1:]])
             growth = max(new_minq - self._usable[mode], 0.0)
             # Admitting into an empty mode starts paying the switch overhead.
@@ -198,7 +230,7 @@ class AdmissionController:
             )
             cost = growth + extra_overhead
             if best is None or cost < best[0] - EPS:
-                best = (cost, idx, new_minq, bin_minq)
+                best = (cost, idx, new_minq, bin_minq, grid)
                 # Every cost is >= 0, so no later bin can beat a zero-cost
                 # fit by more than EPS: the decision is already made.
                 if cost <= EPS:
@@ -208,7 +240,7 @@ class AdmissionController:
                 False, mode, None, 0.0, self._slack,
                 reason=f"every processor of mode {mode} has failed",
             )
-        cost, idx, new_minq, bin_minq = best
+        cost, idx, new_minq, bin_minq, grid = best
         if cost > self._slack + 1e-9:
             return AdmissionDecision(
                 False, mode, None, cost, self._slack,
@@ -220,6 +252,10 @@ class AdmissionController:
         # Commit.
         self._bins[mode][idx] = self._bins[mode][idx].add(task)
         self._minq[mode][idx] = bin_minq
+        if grid is None:
+            self._grids.pop((mode, idx), None)
+        else:
+            self._grids[(mode, idx)] = grid
         grown = max(new_minq - self._usable[mode], 0.0)
         self._usable[mode] = max(self._usable[mode], new_minq)
         self._slack -= cost
@@ -248,6 +284,7 @@ class AdmissionController:
         minqs = self._bin_minqs(mode)
         bins[processor] = TaskSet()
         minqs[processor] = 0.0
+        self._grids.pop((mode, processor), None)
         new_minq = max(minqs)
         old_usable = self._usable[mode]
         new_usable = min(old_usable, max(new_minq, 0.0))
@@ -271,6 +308,7 @@ class AdmissionController:
                     minqs = self._bin_minqs(mode)
                     self._bins[mode][idx] = ts.without([task_name])
                     minqs[idx] = self._bin_minq(self._bins[mode][idx])
+                    self._grids.pop((mode, idx), None)
                     new_minq = max(minqs)
                     old_usable = self._usable[mode]
                     new_usable = new_minq

@@ -12,7 +12,13 @@ yields, for a demand ``W`` that must be served by time ``t``:
 * **EDF** (Eq. 11): ``minQ = max_{t in dlSet} f_P(t, W(t))``
 
 The point sets and demands do not depend on ``P`` (:func:`demand_groups`).
-:func:`min_quantum` evaluates them at its one period. A :class:`QuantumCurve`
+:func:`min_quantum` evaluates them at its one period. For EDF on a set
+that rescales onto an integer time base that is one call,
+:func:`min_quantum_edf_scaled`, which builds no :class:`TaskSet` or
+groups: it evaluates ``f_P`` over every job deadline up to the
+hyperperiod, unsorted, on the grid. Run-time admission calls it directly
+on each trial's derived grid (:func:`repro.analysis.kernels.extend`).
+A :class:`QuantumCurve`
 also prunes them to their binding convex hull, which pays off only when
 whole arrays of candidate periods are evaluated in one vectorised pass, so
 run-time admission at the fixed ``P`` does not build one. A curve supplies
@@ -231,11 +237,32 @@ class QuantumCurve:
 # -- functional API -------------------------------------------------------------
 
 
+def min_quantum_edf_scaled(sts: kernels.ScaledTaskSet, period: float) -> float:
+    """Eq. 11 at one period, on the integer grid of ``sts``.
+
+    Equal to :func:`min_quantum_edf` of ``sts``'s tasks, and it counts the
+    same two kernel selections as :func:`~repro.analysis.edf.edf_demand`
+    (the points and the demand). The max runs over every job deadline up
+    to the hyperperiod: the ``dlSet`` unsorted and with repeats, which
+    give the same ``f_P`` as the point they repeat. The caller validates
+    ``period > 0``.
+    """
+    pts = kernels.job_deadlines(sts, sts.hyperperiod)
+    kernels.note_selection(True)  # the points
+    kernels.note_selection(True)  # the demand
+    f = _f_quantum(kernels.to_time(sts, pts), kernels.demand_array(sts, pts), period)
+    return float(np.maximum(0.0, f.max()))
+
+
 def _min_quantum_at(
     taskset: TaskSet, algorithm: str | Sequence[Task], period: float
 ) -> float:
     """Eq. 6 / Eq. 11 at one period, over the full point sets (no hull)."""
     check_positive("period", period)
+    if algorithm == "EDF" and kernels.fast_kernels_enabled():
+        sts = kernels.rescale(taskset.tasks)
+        if sts is not None:
+            return min_quantum_edf_scaled(sts, period)
     alg, groups = demand_groups(taskset, algorithm)
     out = 0.0
     for _name, pts, w in groups:

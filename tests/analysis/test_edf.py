@@ -11,6 +11,7 @@ from repro.analysis import (
     edf_utilization_test,
     qpa_schedulable,
 )
+from repro.analysis import kernels
 from repro.analysis.edf import demand_bound_array, synchronous_busy_period
 from repro.model import Task, TaskSet
 from repro.supply import DedicatedSupply, LinearSupply, PeriodicSlotSupply
@@ -40,8 +41,19 @@ class TestDemandBoundFunction:
         assert demand_bound_function(ts, 6.0) == 2.0
 
     def test_negative_t_rejected(self):
-        with pytest.raises(ValueError):
-            demand_bound_function(TaskSet([Task("a", 1, 4)]), -1.0)
+        for t in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="^t must be"):
+                demand_bound_function(TaskSet([Task("a", 1, 4)]), t)
+
+    @pytest.mark.parametrize("fast", [True, False], ids=["kernels", "float"])
+    def test_any_real_scalar_t(self, fast):
+        ts = TaskSet([Task("a", 1.0, 5.0), Task("b", 2.0, 10.0)])
+        with kernels.kernels_forced(fast):
+            got = [
+                demand_bound_function(ts, t)
+                for t in (10, 10.0, np.int64(10), np.float64(10))
+            ]
+        assert got == [4.0] * 4
 
     def test_array_matches_scalar(self, pair_full):
         ts_points = [0.0, 3.9, 4.0, 8.0, 12.0, 16.0]

@@ -31,8 +31,11 @@ from repro.analysis.edf import (
     edf_demand_points,
     synchronous_busy_period,
 )
+from repro.core.minq import QuantumCurve, min_quantum_edf_scaled
+from repro.experiments.online import online_aggregator, online_specs
 from repro.generators import generate_mixed_taskset, generate_taskset
 from repro.model import Task, TaskSet
+from repro.runner import stream_campaign
 from repro.util import EPS
 
 
@@ -381,6 +384,13 @@ class TestOverflowFallback:
             demand_bound_function(integer_pair, 4.0 + 1e-4)
             assert kernels.counters_delta(before)["fallback"] == 1
 
+    def test_scale_scalar_takes_any_real_scalar(self):
+        sts = kernels.rescale((Task("a", 0.25, 0.5),))  # scale 2
+        for t in (3, 3.0, np.int64(3), np.float64(3)):
+            assert kernels.scale_scalar(sts, t) == 6
+        for t in (0.2, -1, np.float64("nan"), float("inf")):
+            assert kernels.scale_scalar(sts, t) is None
+
 
 class TestIntegerGridBuild:
     """``edf_demand`` is ``edf_demand_points`` then ``demand_bound_array``:
@@ -480,6 +490,14 @@ class TestDeadlinePoints:
         want = self.reference(sts, horizon_scaled)
         assert got.dtype == want.dtype == np.int64
         assert np.array_equal(got, want)
+        # job_deadlines: the same points, one per job of every task
+        jobs = kernels.job_deadlines(sts, horizon_scaled)
+        assert jobs.dtype == np.int64
+        assert np.array_equal(np.unique(jobs), want)
+        assert jobs.size == sum(
+            max((horizon_scaled - d) // p + 1, 0)
+            for p, d in zip(sts.periods.tolist(), sts.deadlines.tolist())
+        )
         return got
 
     def test_duplicates_across_tasks(self):
@@ -504,6 +522,143 @@ class TestDeadlinePoints:
                 continue
             self.assert_matches_unique(ts, min(sts.hyperperiod, 20_000))
             self.assert_matches_unique(ts, rng.randint(1, 20_000))
+
+
+def assert_same_scaled(got, want):
+    """Field-by-field equality of two :class:`ScaledTaskSet` (or ``None``s)."""
+    if want is None:
+        assert got is None
+        return
+    assert got is not None
+    for name in ("periods", "deadlines", "wcets"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    for name in ("tasks", "scale", "wcet_nums", "wcet_den", "hyperperiod"):
+        assert getattr(got, name) == getattr(want, name), name
+
+
+def online_trials(monkeypatch) -> list:
+    """``(bin grid, arriving task)`` of every derived admission trial of a
+    16-point ``online`` campaign (the ``bench_online.py --smoke`` grid)."""
+    trials = []
+    real = kernels.extend
+
+    def capture(sts, task):
+        trials.append((sts, task))
+        return real(sts, task)
+
+    monkeypatch.setattr(kernels, "extend", capture)
+    axes = {
+        "arrival_rate": [1.0, 2.0],
+        "u_total": [0.5, 1.0],
+        "scenario": ["poisson", "permanent"],
+        "rep": [0, 1],
+        "n": [6],
+        "cycles": [15],
+    }
+    with kernels.kernels_forced(True):
+        stream_campaign(
+            online_specs(axes), online_aggregator(), workers=1, master_seed=5,
+            on_error="store",
+        )
+    monkeypatch.setattr(kernels, "extend", real)
+    return trials
+
+
+class TestExtend:
+    """``extend(rescale(ts), task)`` is ``rescale(ts.tasks + (task,))``."""
+
+    @staticmethod
+    def assert_extends(tasks, task):
+        base = kernels.rescale(tuple(tasks))
+        assert base is not None
+        want = kernels.rescale(tuple(tasks) + (task,))
+        assert_same_scaled(kernels.extend(base, task), want)
+        return want
+
+    def test_trial_sets_of_an_online_pass(self, monkeypatch):
+        trials = online_trials(monkeypatch)
+        assert len(trials) > 500
+        for sts, task in trials:
+            # the bin's grid (rescaled, or a committed trial's) is exact ...
+            assert_same_scaled(sts, kernels.rescale(sts.tasks))
+            # ... and so is the trial derived from it
+            assert self.assert_extends(sts.tasks, task) is not None
+
+    def test_random_sets(self):
+        rng = random.Random(43)
+        extended = 0
+        for _ in range(80):
+            ts = random_taskset(rng, rng.random() < 0.5)
+            t = random_taskset(rng, rng.random() < 0.5)[0]
+            if kernels.rescale(ts.tasks) is not None:
+                self.assert_extends(ts.tasks, Task("new", t.wcet, t.period, t.deadline))
+                extended += 1
+        assert extended >= 60
+
+    def test_dyadic_task_grows_the_scale(self):
+        base = (Task("a", 1.0, 4.0), Task("b", 2.0, 6.0, 5.0))
+        grown = self.assert_extends(base, Task("c", 0.5, 2.5, 1.25))
+        assert kernels.rescale(base).scale == 1 and grown.scale == 4
+        assert grown.periods.tolist() == [16, 24, 10]
+        assert grown.deadlines.tolist() == [16, 20, 5]
+        assert grown.hyperperiod == 240
+
+    def test_wcet_denominator_grows(self):
+        base = (Task("a", 1.5, 4.0), Task("b", 2.0, 6.0))
+        grown = self.assert_extends(base, Task("c", 0.375, 8.0))
+        assert kernels.rescale(base).wcet_den == 2
+        assert grown.wcet_den == 8 and grown.wcet_nums == (12, 16, 3)
+
+    def test_refusals_match_rescale(self):
+        base = (Task("a", 1.0, 4.0), Task("b", 2.0, 6.0, 5.0))
+        # a period or a deadline denominator over 10**9
+        for task in (Task("x", 0.01, 0.1), Task("x", 0.01, 1.0, 0.1)):
+            assert self.assert_extends(base, task) is None
+        # coprime ~1e9 periods: the hyperperiod passes MAX_SCALED
+        p, q = OVERFLOW_TASKS.tasks
+        assert self.assert_extends((p,), q) is None
+        # the hyperperiod fits, hyperperiod + max period does not
+        wide = (Task("e", 1.0, 2.0**51),)
+        tail = Task("f", 1.0, 3.0 * 2**50)
+        assert math.lcm(2**51, 3 * 2**50) <= kernels.MAX_SCALED
+        assert self.assert_extends(wide, tail) is None
+
+
+class TestFixedPeriodEvaluation:
+    """``min_quantum_edf_scaled`` is the curve's Eq. 11 at one period."""
+
+    PERIODS = [0.05, 0.37, 1.0, 2.5, 7.25, 19.0, 64.0, 250.0]
+
+    @staticmethod
+    def assert_matches_curve(ts, periods):
+        sts = kernels.rescale(ts.tasks)
+        with kernels.kernels_forced(True):
+            curve = QuantumCurve(ts, "EDF")
+            for period in periods:
+                before = kernels.kernel_counters()
+                got = min_quantum_edf_scaled(sts, period)
+                assert kernels.counters_delta(before) == {"fast": 2, "fallback": 0}
+                assert got == curve.evaluate(period)
+
+    @pytest.mark.parametrize("dyadic", [False, True])
+    def test_random_sets(self, dyadic):
+        rng = random.Random(47 if dyadic else 53)
+        checked = 0
+        for _ in range(40):
+            ts = random_taskset(rng, dyadic)
+            sts = kernels.rescale(ts.tasks)
+            # coprime dyadic periods can make dlSets of millions of points
+            if sts is not None and sts.hyperperiod <= 60_000 * sts.scale:
+                self.assert_matches_curve(ts, self.PERIODS)
+                checked += 1
+        assert checked >= 30
+
+    def test_trial_sets_of_an_online_pass(self, monkeypatch):
+        trials = online_trials(monkeypatch)
+        for sts, task in trials[::7]:
+            ts = TaskSet(sts.tasks + (task,))
+            self.assert_matches_curve(ts, self.PERIODS[::3])
 
 
 def _f_quantum(t: np.ndarray, w: np.ndarray, period: float) -> np.ndarray:

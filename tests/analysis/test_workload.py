@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis import fp_workload, fp_workload_array
+from repro.analysis import fp_workload, fp_workload_array, kernels
 from repro.model import Task
 
 
@@ -45,6 +45,16 @@ class TestWorkload:
     def test_scalar_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             fp_workload(Task("t", 1, 5), [], 0.0)
+
+    @pytest.mark.parametrize("fast", [True, False], ids=["kernels", "float"])
+    def test_any_real_scalar_t(self, fast):
+        task, hp = Task("a", 1.0, 5.0), [Task("b", 2.0, 10.0)]
+        with kernels.kernels_forced(fast):
+            got = [
+                fp_workload(task, hp, t)
+                for t in (5, 5.0, np.int64(5), np.float64(5))
+            ]
+        assert got == [3.0] * 4
 
     def test_monotone_in_t(self):
         t = Task("t", 2, 50)

@@ -243,21 +243,28 @@ def test_incremental_matches_full_recompute(seed, algorithm):
 
 
 class CountingMinQ:
-    """Stands in for the scalar ``min_quantum`` and counts its calls."""
+    """Counts every bin ``minQ`` the controller computes, through both of
+    its seams: ``min_quantum`` and the fixed-period evaluation on a trial's
+    derived integer grid (``min_quantum_edf_scaled``)."""
 
     def __init__(self, real):
-        self.real = real
+        self.real = real  # the unpatched min_quantum, for expectations
         self.calls = 0
 
-    def __call__(self, *args):
-        self.calls += 1
-        return self.real(*args)
+    def wrap(self, fn):
+        def counted(*args):
+            self.calls += 1
+            return fn(*args)
+
+        return counted
 
 
 @pytest.fixture
 def counting(monkeypatch):
     counter = CountingMinQ(admission_module.min_quantum)
-    monkeypatch.setattr(admission_module, "min_quantum", counter)
+    for name in ("min_quantum", "min_quantum_edf_scaled"):
+        real = getattr(admission_module, name)
+        monkeypatch.setattr(admission_module, name, counter.wrap(real))
     return counter
 
 

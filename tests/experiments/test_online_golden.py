@@ -36,7 +36,12 @@ def test_online_rejecting_grid_unchanged(tmp_path, capsys, fast):
     state = tmp_path / "online.json"
     with kernels.kernels_forced(fast):
         assert main([*ONLINE_REJECTING_ARGS, "--state", str(state)]) == 0
-    capsys.readouterr()
+    # Every admission trial counts its kernel selections: two per EDF build.
+    stats = capsys.readouterr().err
+    if fast:
+        assert "kernels: 100.0% fast (3156/3156)" in stats
+    else:
+        assert "kernels:" not in stats
     snapshot = json.loads(state.read_text())
     assert snapshot["aggregate"]["offered"]["total"] == [513, 1]
     assert snapshot["aggregate"]["admitted"]["total"] == [475, 1]
