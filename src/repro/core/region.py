@@ -22,11 +22,23 @@ A region evaluates ``G`` through one
 :class:`~repro.core.integration.SystemCurve` (the stacked hull arrays of
 every bin) and computes its default grid sweep at most once: every query
 starts from that shared sweep, then bisects or refines on the same curve.
+Each ``G`` call costs little more for a few hundred periods than for one,
+so the searches batch their periods without changing a result bit:
+
+* the bracket evaluates four octaves ``[hi/2, hi]`` per call; each octave
+  end is a power of two, so ``hi * _OCTAVE`` is exactly
+  ``np.linspace(hi / 2, hi, 64)``;
+* the bisection evaluates up to 24 midpoints per call along the path that
+  a chord through the bracket ends predicts, then applies their real signs
+  in order, as a one-period-per-step loop would, up to the first sign the
+  prediction got wrong. Every midpoint it uses is that loop's midpoint;
+  the prediction only chooses which periods to evaluate.
 """
 
 from __future__ import annotations
 
 import copy
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +46,18 @@ import numpy as np
 from repro.core.integration import SystemCurve
 from repro.model import Mode, PartitionedTaskSet
 from repro.util import check_nonneg, check_positive
+
+#: ``[hi/2, hi]`` as fractions of an octave end ``hi`` (64 periods).
+_OCTAVE = np.linspace(0.5, 1.0, 64)
+#: The octave ends the bracket tries: ``8, 16, ..., 2**59``.
+_OCTAVE_ENDS = np.ldexp(8.0, np.arange(57))
+_OCTAVES_PER_CALL = 4
+_BRACKET_ERROR = (
+    "could not bracket the feasible region; is the partition feasible at all?"
+)
+#: Midpoints one bisection call evaluates, and the steps one bisection takes.
+_LEVELS_PER_CALL = 24
+_MAX_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -54,9 +78,9 @@ class FeasibleRegion:
     algorithm:
         "RM", "DM" or "EDF".
     p_max:
-        Upper end of the sweep range. Defaults to auto-expansion until the
-        curve has fallen clearly below zero (all designs of interest lie at
-        ``G >= 0``).
+        Upper end of the sweep range (finite, > 0). Defaults to
+        auto-expansion until the curve has fallen clearly below zero (all
+        designs of interest lie at ``G >= 0``).
     grid:
         Number of grid points per sweep (the default resolves the paper's
         3-decimal values comfortably once combined with refinement).
@@ -72,6 +96,8 @@ class FeasibleRegion:
     ):
         if grid < 100:
             raise ValueError(f"grid must be >= 100: got {grid}")
+        if p_max is not None:
+            check_positive("p_max", p_max)
         self._curve = SystemCurve(partition, algorithm)
         self._grid = int(grid)
         self._p_max = float(p_max) if p_max is not None else self._auto_p_max()
@@ -101,17 +127,17 @@ class FeasibleRegion:
     def _auto_p_max(self) -> float:
         """Find a sweep end beyond the last zero crossing of ``G``.
 
-        Tries ``8, 16, ..., 2**59``: the sweep always reaches past ``P = 4``.
+        Returns the first octave end ``hi`` in ``8, 16, ..., 2**59`` with
+        ``G < 0`` at all 64 periods of ``np.linspace(hi / 2, hi, 64)``: the
+        sweep always reaches past ``P = 4``.
         """
-        hi = 8.0
-        for _ in range(57):
-            ps = np.linspace(hi / 2, hi, 64)
-            if np.all(self._curve.lhs(ps) < 0.0):
-                return hi
-            hi *= 2.0
-        raise RuntimeError(
-            "could not bracket the feasible region; is the partition feasible at all?"
-        )
+        for j in range(0, len(_OCTAVE_ENDS), _OCTAVES_PER_CALL):
+            ends = _OCTAVE_ENDS[j : j + _OCTAVES_PER_CALL]
+            g = self._curve.lhs((ends[:, None] * _OCTAVE).ravel())
+            below = np.all(g.reshape(len(ends), -1) < 0.0, axis=1)
+            if below.any():
+                return float(ends[below.argmax()])
+        raise RuntimeError(_BRACKET_ERROR)
 
     def sweep(
         self, p_min: float | None = None, p_max: float | None = None, n: int | None = None
@@ -125,6 +151,8 @@ class FeasibleRegion:
         default = p_min is None and p_max is None and n is None
         if default and self._default_sweep is not None:
             return self._default_sweep
+        if n is not None and n < 2:
+            raise ValueError(f"n must be >= 2: got {n}")
         lo = p_min if p_min is not None else self._p_max / self._grid
         hi = p_max if p_max is not None else self._p_max
         check_positive("p_min", lo)
@@ -144,40 +172,101 @@ class FeasibleRegion:
         """Largest ``P`` with ``G(P) >= O_tot`` (points 1, 2 and 5 of Fig. 4).
 
         Raises :class:`ValueError` when no period is feasible for the given
-        total overhead.
+        total overhead. When ``G >= O_tot`` still holds at the end of the
+        default sweep, the search sweeps copies of the region with
+        :attr:`p_max` doubled until it does not, and raises
+        :class:`RuntimeError` once the sweep end would pass ``2**59``.
         """
         check_nonneg("otot", otot)
-        ps, g = self.sweep()
+        region = self
+        ps, g = region.sweep()
+        while g[-1] >= otot:
+            # G still >= otot at the sweep end: widen a copy, on the same
+            # curve, up to the bracket's last octave end.
+            if region._p_max * 2 > _OCTAVE_ENDS[-1]:
+                raise RuntimeError(_BRACKET_ERROR)
+            region = copy.copy(region)
+            region._p_max *= 2
+            region._default_sweep = None
+            ps, g = region.sweep()
         ok = g >= otot
         if not np.any(ok):
             # The grid may have missed a narrow feasible spike; refine around
             # the global maximum before giving up.
-            peak = self.max_admissible_overhead()
+            peak = region.max_admissible_overhead()
             if peak.lhs < otot:
                 raise ValueError(
                     f"no feasible period: max admissible overhead is "
                     f"{peak.lhs:.6f} < O_tot={otot:.6f}"
                 )
-            lo, hi = peak.period, self._p_max
-        else:
-            i = int(np.nonzero(ok)[0][-1])
-            if i == len(ps) - 1:
-                # G still >= otot at the sweep end — expand, on the same curve.
-                wider = copy.copy(self)
-                wider._p_max = self._p_max * 2
-                wider._default_sweep = None
-                return wider.max_feasible_period(otot, tol=tol)
-            lo, hi = float(ps[i]), float(ps[i + 1])
-        # Bisection: G(lo) >= otot > G(hi).
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if float(self._curve.lhs(mid)) >= otot:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= tol * max(1.0, hi):
-                break
-        return lo
+            return self._bisect(peak.period, region._p_max, peak.lhs, g[-1], otot, tol)
+        i = int(np.nonzero(ok)[0][-1])
+        return self._bisect(ps[i], ps[i + 1], g[i], g[i + 1], otot, tol)
+
+    def _bisect(
+        self, lo: float, hi: float, g_lo: float, g_hi: float, otot: float, tol: float
+    ) -> float:
+        """Bisect ``G(lo) >= otot > G(hi)`` down to ``tol`` (relative) width.
+
+        Each round guesses the rest of the path from the chord through
+        ``(lo, G(lo))`` and ``(hi, G(hi))``, evaluates up to
+        ``_LEVELS_PER_CALL`` of its midpoints in one call and applies their
+        real signs in order, stopping after the first wrong guess: every
+        applied midpoint is the one a one-period-per-step loop would take.
+        """
+        lo, hi, g_lo, g_hi = float(lo), float(hi), float(g_lo), float(g_hi)
+        steps = 0
+        while True:
+            drop = g_lo - g_hi
+            cross = lo + (hi - lo) * ((g_lo - otot) / drop) if drop > 0 else hi
+            mids: list[float] = []
+            guesses: list[bool] = []
+            a, b = lo, hi
+            for _ in range(min(_LEVELS_PER_CALL, _MAX_STEPS - steps)):
+                mid = 0.5 * (a + b)
+                # A midpoint rounded onto ``a`` is as feasible as ``a``.
+                feasible = mid == a or mid < cross
+                mids.append(mid)
+                guesses.append(feasible)
+                if feasible:
+                    a = mid
+                else:
+                    b = mid
+                if b - a <= tol * max(1.0, b):
+                    break
+            values = self._curve.lhs(np.array(mids)).tolist()
+            for mid, guess, value in zip(mids, guesses, values):
+                steps += 1
+                feasible = value >= otot
+                if feasible:
+                    lo, g_lo = mid, value
+                else:
+                    hi, g_hi = mid, value
+                if hi - lo <= tol * max(1.0, hi) or steps == _MAX_STEPS:
+                    return lo
+                if feasible != guess:
+                    break
+
+    def _zoom_argmax(
+        self,
+        ps: np.ndarray,
+        i: int,
+        score: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    ) -> float:
+        """Refine the argmax ``ps[i]`` of ``score(P, G(P))`` over a sweep.
+
+        Four rounds of 2001 periods between the neighbours of the current
+        argmax (``G`` is piecewise smooth, so this reaches ~1e-9 on the
+        argmax segment); returns the centre of the last bracket.
+        """
+        lo = float(ps[max(i - 1, 0)])
+        hi = float(ps[min(i + 1, len(ps) - 1)])
+        for _ in range(4):
+            fine = np.linspace(lo, hi, 2001)
+            j = int(np.argmax(score(fine, self._curve.lhs(fine))))
+            lo = float(fine[max(j - 1, 0)])
+            hi = float(fine[min(j + 1, len(fine) - 1)])
+        return 0.5 * (lo + hi)
 
     def max_admissible_overhead(self) -> RegionPoint:
         """Global maximum of ``G`` (points 3 and 4 of Fig. 4).
@@ -186,18 +275,7 @@ class FeasibleRegion:
         up to ``G(P*)`` admits at least one feasible period.
         """
         ps, g = self.sweep()
-        i = int(np.argmax(g))
-        lo = float(ps[max(i - 1, 0)])
-        hi = float(ps[min(i + 1, len(ps) - 1)])
-        # Local dense refinement (G is piecewise smooth; two rounds of dense
-        # grids give ~1e-9 accuracy on the argmax segment).
-        for _ in range(4):
-            fine = np.linspace(lo, hi, 2001)
-            gv = np.asarray(self._curve.lhs(fine))
-            j = int(np.argmax(gv))
-            lo = float(fine[max(j - 1, 0)])
-            hi = float(fine[min(j + 1, len(fine) - 1)])
-        p_star = 0.5 * (lo + hi)
+        p_star = self._zoom_argmax(ps, int(np.argmax(g)), lambda _ps, gv: gv)
         return RegionPoint(p_star, float(self._curve.lhs(p_star)))
 
     def max_slack_ratio(self, otot: float = 0.0) -> tuple[float, RegionPoint]:
@@ -210,23 +288,18 @@ class FeasibleRegion:
         Raises :class:`ValueError` when no feasible period exists.
         """
         check_nonneg("otot", otot)
+
+        def ratio(ps: np.ndarray, g: np.ndarray) -> np.ndarray:
+            return (g - otot) / ps
+
         ps, g = self.sweep()
-        ratios = (g - otot) / ps
+        ratios = ratio(ps, g)
         i = int(np.argmax(ratios))
         if ratios[i] < 0:
             raise ValueError(
                 f"no feasible period for O_tot={otot}: best ratio {ratios[i]:.6f} < 0"
             )
-        lo = float(ps[max(i - 1, 0)])
-        hi = float(ps[min(i + 1, len(ps) - 1)])
-        for _ in range(4):
-            fine = np.linspace(lo, hi, 2001)
-            gv = np.asarray(self._curve.lhs(fine))
-            rv = (gv - otot) / fine
-            j = int(np.argmax(rv))
-            lo = float(fine[max(j - 1, 0)])
-            hi = float(fine[min(j + 1, len(fine) - 1)])
-        p_star = 0.5 * (lo + hi)
+        p_star = self._zoom_argmax(ps, i, ratio)
         g_star = float(self._curve.lhs(p_star))
         return (g_star - otot) / p_star, RegionPoint(p_star, g_star)
 
