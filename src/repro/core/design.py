@@ -21,7 +21,7 @@ import abc
 from dataclasses import dataclass
 
 from repro.core.config import Overheads, PlatformConfig, SlotSchedule
-from repro.core.integration import SystemCurve
+from repro.core.integration import SystemCurve, _quanta_verdicts
 from repro.core.region import FeasibleRegion
 from repro.model import MODE_ORDER, Mode, PartitionedTaskSet
 from repro.util import EPS, check_positive
@@ -169,7 +169,9 @@ def design_platform(
             slack = 0.0
 
     schedule = SlotSchedule(period, quanta, overheads)
-    verdicts = curve.quanta_feasible(schedule)
+    # Eqs. 12-14 at the schedule's period, which is ``period``: check them
+    # against the binding quanta computed above.
+    verdicts = _quanta_verdicts(schedule, min_quanta)
     if not all(verdicts.values()):
         bad = [str(m) for m, ok in verdicts.items() if not ok]
         raise DesignError(

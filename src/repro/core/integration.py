@@ -24,6 +24,8 @@ Eqs. 12–14; :func:`quanta_feasible` builds a curve to do so.
 
 from __future__ import annotations
 
+from typing import Mapping
+
 import numpy as np
 
 from repro.core.config import SlotSchedule
@@ -135,13 +137,21 @@ class SystemCurve:
         feasible when all three hold (``SlotSchedule`` already guarantees
         ``sum Q_k <= P``).
         """
-        bounds = self.min_quanta(schedule.period)
-        result: dict[Mode, bool] = {}
-        for mode in MODE_ORDER:
-            need = bounds[mode]
-            have = schedule.usable(mode)
-            result[mode] = have + max(tol, EPS * max(1.0, need)) >= need
-        return result
+        return _quanta_verdicts(schedule, self.min_quanta(schedule.period), tol)
+
+
+def _quanta_verdicts(
+    schedule: SlotSchedule, bounds: Mapping[Mode, float], tol: float = 1e-9
+) -> dict[Mode, bool]:
+    """Eqs. 12–14 per mode, against the binding quanta ``bounds`` at the
+    schedule's period: ``Q̃_k`` passes when it reaches ``minQ_k(P)``
+    within ``max(tol, EPS * max(1, minQ_k(P)))``."""
+    result: dict[Mode, bool] = {}
+    for mode in MODE_ORDER:
+        need = bounds[mode]
+        have = schedule.usable(mode)
+        result[mode] = have + max(tol, EPS * max(1.0, need)) >= need
+    return result
 
 
 def mode_quantum_bounds(

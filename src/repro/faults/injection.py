@@ -13,6 +13,7 @@ errors and aggregates what the paper's Section 2.2 promises qualitatively:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
@@ -154,15 +155,18 @@ def run_campaign(
 def _aggregate(result: MulticoreResult, injected: int) -> FaultCampaignResult:
     outcomes: dict[FaultOutcome, int] = {o: 0 for o in FaultOutcome}
     by_mode: dict[Mode | None, dict[FaultOutcome, int]] = {}
-    for rec in result.fault_records:
-        outcomes[rec.outcome] += 1
-        slot = by_mode.get(rec.mode)
-        if slot is None:  # a mode's row is built when the mode is first seen
-            slot = by_mode[rec.mode] = {o: 0 for o in FaultOutcome}
-        slot[rec.outcome] += 1
+    # One count per (mode, outcome) pair, in first-seen order: a mode's row
+    # is built, and placed, when the mode is first seen.
+    pairs = Counter((rec.mode, rec.outcome) for rec in result.fault_records)
+    for (mode, outcome), n in pairs.items():
+        outcomes[outcome] += n
+        if mode not in by_mode:
+            by_mode[mode] = {o: 0 for o in FaultOutcome}
+        by_mode[mode][outcome] = n
     misses = result.misses
     ft_tasks = _ft_tasks(result)
-    ft_misses = sum(1 for e in misses if e.who.split("#")[0] in ft_tasks)
+    # A job is named task#index, and a task name may hold a "#".
+    ft_misses = sum(1 for e in misses if e.who.rsplit("#", 1)[0] in ft_tasks)
     return FaultCampaignResult(
         injected=injected,
         outcomes=outcomes,
@@ -177,8 +181,9 @@ def _aggregate(result: MulticoreResult, injected: int) -> FaultCampaignResult:
 
 
 def _ft_tasks(result: MulticoreResult) -> set[str]:
+    """Names of the tasks with a job on an FT processor."""
     names: set[str] = set()
     for key, res in result.processors.items():
         if key.startswith("FT"):
-            names.update(j.task.name for j in res.jobs)
+            names.update(task.name for task in res.job_columns.task)
     return names

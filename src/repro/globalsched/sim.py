@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.model import Job, JobState, TaskSet
-from repro.sim.scheduler import SchedulingPolicy, make_policy
+from repro.sim.scheduler import make_policy
 from repro.sim.trace import EVENT_ORDER, ExecutionSlice, SimEventKind, SimTrace
 from repro.sim.uniproc import merge_windows
 from repro.util import EPS, check_positive
@@ -56,17 +56,6 @@ class GlobalSimResult:
         return count
 
 
-def _rank_key(policy: SchedulingPolicy):
-    """Job sort key under a policy (lower = higher priority)."""
-    from repro.sim.scheduler import EDFPolicy, FixedPriorityPolicy
-
-    if isinstance(policy, EDFPolicy):
-        return lambda j: (j.absolute_deadline, j.release, j.task.name)
-    if isinstance(policy, FixedPriorityPolicy):
-        return lambda j: (policy.rank_of(j.task.name), j.release, j.task.name)
-    raise TypeError(f"unsupported policy {type(policy).__name__}")
-
-
 def simulate_global(
     taskset: TaskSet,
     algorithm: str,
@@ -87,8 +76,11 @@ def simulate_global(
     check_positive("horizon", horizon)
     if m < 1:
         raise ValueError(f"m must be >= 1: got {m}")
-    policy = make_policy(taskset, algorithm)
-    key = _rank_key(policy)
+    rank = make_policy(taskset, algorithm).key
+
+    def key(job: Job) -> tuple:
+        return rank(job.task, job.release, job.absolute_deadline)
+
     offsets = release_offsets or {}
     trace = SimTrace(horizon)
     windows = merge_windows(windows, horizon)

@@ -4,9 +4,10 @@ Turns a :class:`~repro.core.config.SlotSchedule` into the concrete timeline
 of Figure 2 — for every major cycle, each mode's usable window, the
 switch-out overhead window at the slot tail, and any idle reserve at the end
 of the cycle. The multicore simulator consumes each mode's usable windows
-(:meth:`ModeSwitchController.usable_windows`); the fault layer uses
-:meth:`ModeSwitchController.segment_at` to find what the platform was doing
-at an arbitrary fault instant.
+(:meth:`ModeSwitchController.usable_windows`) and classifies fault strikes
+from the cycle template (:attr:`ModeSwitchController.template`) with the
+arithmetic of :meth:`ModeSwitchController.segment_at`, which the online
+engine calls to find what the platform was doing at a fault instant.
 """
 
 from __future__ import annotations
@@ -84,6 +85,15 @@ class ModeSwitchController:
     def schedule(self) -> SlotSchedule:
         """The underlying slot schedule."""
         return self._schedule
+
+    @property
+    def template(self) -> list[tuple[float, float, SegmentKind, Mode | None]]:
+        """One cycle's entries ``(rel_a, rel_b, kind, mode)``, in schedule order.
+
+        Cycle ``c``'s segment of an entry spans ``c * period + rel_a`` to
+        ``c * period + rel_b``. The list is shared: do not modify it.
+        """
+        return self._template
 
     def layout_at(self, mode: Mode, core_count: int = 4) -> ModeLayout:
         """Channel layout installed while serving ``mode``."""

@@ -12,9 +12,9 @@ Built bottom-up for this repository (no external simulator):
   logical processor of every mode, applies fault effects through the
   :class:`~repro.platform.hardware.Checker` semantics, and aggregates
   deadline and fault statistics;
-* :mod:`repro.sim.events` — the deterministic event queue both the offline
-  and online simulation cores drain (arrival / departure / fault strike /
-  core death / re-assignment, totally ordered);
+* :mod:`repro.sim.events` — the deterministic event queue the online
+  engine drains (arrival / departure / fault strike / core death /
+  re-assignment, totally ordered);
 * :mod:`repro.sim.online` — the online engine: runtime arrivals decided
   live by the admission controller, departures reclaiming bandwidth, and
   permanent core failures triggering re-assignment of the dead core's

@@ -1,10 +1,11 @@
-"""The event queue shared by the offline and online simulation cores.
+"""The event queue of the online simulation engine.
 
-Both simulators — :class:`repro.sim.multicore.MulticoreSim` (the offline
-special case: every task arrives at t=0 and stays) and
 :class:`repro.sim.online.OnlineSim` (runtime arrivals/departures, live
-admission, failure-triggered re-assignment) — drive their discrete dynamics
-through one :class:`EventQueue`. The queue is a plain binary heap with a
+admission, failure-triggered re-assignment) drives its discrete dynamics
+through one :class:`EventQueue`. (The offline
+:class:`repro.sim.multicore.MulticoreSim` knows its tasks and faults
+upfront and handles its strikes in one stable sort by time, the order this
+queue pops same-kind events in.) The queue is a plain binary heap with a
 **total deterministic order**:
 
 ``(time, kind priority, insertion sequence)``
@@ -15,13 +16,11 @@ through one :class:`EventQueue`. The queue is a plain binary heap with a
   explain, departures free bandwidth before the same instant's admissions
   consume it, and re-assigned orphans (who held an admission before the
   failure) re-admit ahead of brand-new arrivals;
-* at equal ``(time, kind)``, events pop in insertion order (FIFO), which is
-  exactly the stable ``sorted(faults, key=time)`` order the pre-refactor
-  offline loop used — the property the byte-identity goldens pin.
+* at equal ``(time, kind)``, events pop in insertion order (FIFO).
 
 No wall clock, no randomness: given the same pushes, every drain is
-identical, which is what lets campaign points built on either simulator
-keep the runner's bit-identical ``(workers, batch, shard)`` contract.
+identical, which is what lets campaign points built on the engine keep
+the runner's bit-identical ``(workers, batch, shard)`` contract.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ class EventKind(enum.IntEnum):
     DEPARTURE = 2
     #: A re-assignment attempt for a task orphaned by a core death.
     REASSIGN = 3
-    #: A task enters the system (offline: all at t=0).
+    #: A task enters the system.
     ARRIVAL = 4
 
     def __str__(self) -> str:  # pragma: no cover - trivial

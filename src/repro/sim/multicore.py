@@ -5,43 +5,46 @@
 1. the :class:`~repro.platform.switcher.ModeSwitchController` expands the
    slot schedule into per-mode usable windows, one walk of the cycle
    template per mode;
-2. a deterministic :class:`~repro.sim.events.EventQueue` is drained:
-   every task arrives at t=0 (offline is the event core's special case)
-   and injected faults are strike events, classified through the checker
-   semantics of the mode active at the fault instant (mask / silence /
-   corrupt / harmless);
+2. the injected faults are handled in one stable sort by time. Each
+   strike is classified from a table the simulator builds on its first
+   classification: for each cycle-template entry, its bounds and, per
+   core, the outcome and channel of the checker semantics of the mode it
+   serves (mask / silence / corrupt / harmless). A lookup is
+   ``segment_at``'s arithmetic plus two indexings, and builds no segment;
 3. every logical processor of every mode runs its partition bin with the
    local scheduler inside its windows — fail-silent faults black out the
    remainder of the silenced channel's slot and abort the running job;
 4. fault victims are resolved against what each processor ran: an NF
    corruption hits whatever job occupied the core at the fault instant
-   (a bisection over the processor's slice columns), a silenced fault the
-   job its abort killed (each processor's abort events are collected once);
+   (a bisection over the processor's slice columns, which hold job ids),
+   a silenced fault the job its abort killed (each processor's abort
+   events are collected once). Each fault record is built once, with its
+   victim;
 5. the run's trace is deferred: when first read, every processor's events,
    in processor order, and then the fault events of the final records are
    sorted once, stably, into it. Results are aggregated into deadline,
    response-time and fault statistics; the deadline misses join the
    processors' misses without building any trace.
 
-A run's cost follows its events: cycles × windows for the timeline and
-one uniprocessor step per release, completion, abort or window edge. The
-merged trace costs one sort, paid only by a caller that reads it.
+A run's cost follows its events: cycles × windows for the timeline, one
+table lookup per strike and one uniprocessor step per release,
+completion, abort or window edge. The jobs and the merged trace are built
+only for a caller that reads them.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from repro.core.config import PlatformConfig, SlotSchedule
 from repro.faults.model import Fault, FaultOutcome, FaultRecord
-from repro.model import Mode, PartitionedTaskSet, TaskSet
+from repro.model import JobState, Mode, PartitionedTaskSet
 from repro.platform.hardware import FaultEffect
 from repro.platform.modes import layout_for
-from repro.platform.switcher import ModeSwitchController, SegmentKind
-from repro.sim.events import EventKind, EventQueue
+from repro.platform.switcher import ModeSwitchController, Segment, SegmentKind
 from repro.sim.scheduler import make_policy
 from repro.sim.trace import (
     EVENT_ORDER,
@@ -64,11 +67,75 @@ _EFFECT_TO_OUTCOME = {
 }
 
 
+#: Faults are handled in time order; equal times keep the given order.
+_BY_TIME = operator.attrgetter("time")
+
+
 @functools.cache
 def _proc_key(mode: Mode, index: int) -> str:
-    # Cached: the format goes through Enum.__format__, and a run asks for
-    # one processor's key once per fault on it.
+    # Cached: the format goes through Enum.__format__, and every run asks
+    # for the same few keys.
     return f"{mode}[{index}]"
+
+
+class _StrikeRow(NamedTuple):
+    """What a strike in one cycle-template entry's segment does."""
+
+    #: ``rel_a - EPS`` and ``rel_b - EPS``: the row holds ``lo <= rel < hi``.
+    lo: float
+    hi: float
+    rel_a: float
+    rel_b: float
+    kind: SegmentKind
+    mode: Mode | None
+    #: Per core: the outcome, the struck channel's index and its processor
+    #: key (both None when harmless).
+    effects: tuple[tuple[FaultOutcome, int | None, str | None], ...]
+    #: A harmless strike's record detail.
+    harmless: str
+
+
+@functools.cache
+def _layout_effects(
+    mode: Mode, core_count: int
+) -> tuple[tuple[FaultOutcome, int, str], ...]:
+    """Per core: the outcome, channel index and processor key of a strike
+    while ``mode``'s channel layout is installed.
+
+    Layouts are total: every core is in exactly one channel.
+    """
+    channels = layout_for(mode, core_count).channels
+    return tuple(
+        next(
+            (_EFFECT_TO_OUTCOME[channel.fault_effect()], idx, _proc_key(mode, idx))
+            for idx, channel in enumerate(channels)
+            if channel.contains(core)
+        )
+        for core in range(core_count)
+    )
+
+
+_HARMLESS_DETAIL = {kind: f"hit {kind} time" for kind in SegmentKind}
+
+
+def _strike_table(controller: ModeSwitchController, core_count: int) -> list[_StrikeRow]:
+    """One :class:`_StrikeRow` per entry of the controller's cycle template.
+
+    A strike in a usable segment of a mode hits the channel of the mode's
+    layout that holds the struck core, with that channel's fault effect;
+    anywhere else it is harmless.
+    """
+    harmless = ((FaultOutcome.HARMLESS, None, None),) * core_count
+    return [
+        _StrikeRow(
+            rel_a - EPS, rel_b - EPS, rel_a, rel_b, kind, mode,
+            _layout_effects(mode, core_count)
+            if kind is SegmentKind.USABLE and mode is not None
+            else harmless,
+            _HARMLESS_DETAIL[kind],
+        )
+        for rel_a, rel_b, kind, mode in controller.template
+    ]
 
 
 @dataclass
@@ -101,7 +168,8 @@ class MulticoreResult:
         """Deadline misses grouped by task name."""
         out: dict[str, int] = {}
         for e in self.misses:
-            task = e.who.split("#")[0]
+            # A job is named task#index, and a task name may hold a "#".
+            task = e.who.rsplit("#", 1)[0]
             out[task] = out.get(task, 0) + 1
         return out
 
@@ -113,10 +181,13 @@ class MulticoreResult:
         ]
 
     def aborted_jobs(self) -> list[str]:
-        """Jobs killed by fail-silent channel shutdowns."""
+        """Jobs killed by fail-silent channel shutdowns.
+
+        Processor by processor, each in job order, read off the job columns.
+        """
         out = []
         for res in self.processors.values():
-            out.extend(j.name for j in res.aborted)
+            out.extend(res.job_columns.names_in(JobState.ABORTED))
         return out
 
     def fault_summary(self) -> dict[FaultOutcome, int]:
@@ -143,14 +214,12 @@ class MulticoreResult:
 class MulticoreSim:
     """Simulator of the flexible multicore platform for one designed config.
 
-    The offline special case of the event-driven core: every task arrives
-    at t=0 (an :class:`~repro.sim.events.EventKind.ARRIVAL` event per task)
-    and the injected faults are
-    :class:`~repro.sim.events.EventKind.FAULT_STRIKE` events, all drained
-    from one deterministic :class:`~repro.sim.events.EventQueue` before the
-    per-processor schedules run. The online engine
-    (:mod:`repro.sim.online`) shares the same queue but feeds it runtime
-    arrivals, departures and core deaths.
+    Every task of the partition is present from t=0 and the injected
+    faults are known upfront, so a run handles its strikes in one stable
+    sort by time before the per-processor schedules run. (The online
+    engine, :mod:`repro.sim.online`, drains a
+    :class:`~repro.sim.events.EventQueue` instead: its arrivals,
+    departures and core deaths happen at run time.)
 
     Parameters
     ----------
@@ -188,6 +257,7 @@ class MulticoreSim:
         self._partition = partition
         self._controller = ModeSwitchController(self._schedule)
         self._core_count = 4 if core_count is None else int(core_count)
+        self._period = self._schedule.period
 
     @property
     def core_count(self) -> int:
@@ -215,24 +285,45 @@ class MulticoreSim:
 
     # -- fault classification ----------------------------------------------------
 
-    def classify_fault(self, fault: Fault) -> tuple[FaultOutcome, Mode | None, int | None, object]:
-        """Checker view of a fault: (outcome, mode, channel index, segment)."""
+    @functools.cached_property
+    def _strikes(self) -> list[_StrikeRow]:
+        """The strike table, built on the first classification."""
+        return _strike_table(self._controller, self._core_count)
+
+    def _strike(self, fault: Fault) -> tuple[_StrikeRow, int]:
+        """The table row of the segment ``fault`` hits, and the cycle.
+
+        :meth:`ModeSwitchController.segment_at`'s arithmetic: the same
+        ``//``, the same guard for ``rel`` at the period's end, the first
+        row whose ``[rel_a - EPS, rel_b - EPS)`` holds ``rel`` and the last
+        row when none does.
+        """
         if not 0 <= fault.core < self._core_count:
             raise ValueError(
                 f"fault on core {fault.core} is outside the simulated "
                 f"platform's cores 0..{self._core_count - 1}: regenerate "
                 f"the fault stream with core_count={self._core_count}"
             )
-        seg = self._controller.segment_at(fault.time)
-        if seg.kind is not SegmentKind.USABLE or seg.mode is None:
-            return FaultOutcome.HARMLESS, seg.mode, None, seg
-        layout = layout_for(seg.mode, self._core_count)
-        for idx, channel in enumerate(layout.channels):
-            if channel.contains(fault.core):
-                return _EFFECT_TO_OUTCOME[channel.fault_effect()], seg.mode, idx, seg
-        raise AssertionError(
-            f"layout for {seg.mode} does not cover core {fault.core}"
-        )  # pragma: no cover - layouts are total by construction
+        t, period, rows = fault.time, self._period, self._strikes
+        cycle = int(t // period)
+        rel = t - cycle * period
+        # Guard against rel == period from float division artifacts.
+        if rel >= period - EPS and rows:
+            cycle += 1
+            rel = 0.0
+        for row in rows:
+            if row.lo <= rel < row.hi:
+                return row, cycle
+        # rel fell into the final sliver before the next cycle (float noise).
+        return rows[-1], cycle
+
+    def classify_fault(self, fault: Fault) -> tuple[FaultOutcome, Mode | None, int | None, Segment]:
+        """Checker view of a fault: (outcome, mode, channel index, segment)."""
+        row, cycle = self._strike(fault)
+        outcome, chan, _key = row.effects[fault.core]
+        base = cycle * self._period
+        segment = Segment(base + row.rel_a, base + row.rel_b, row.kind, row.mode, cycle)
+        return outcome, row.mode, chan, segment
 
     # -- main entry ----------------------------------------------------------------
 
@@ -261,128 +352,79 @@ class MulticoreSim:
         horizon = horizon if horizon is not None else self.default_horizon()
         check_positive("horizon", horizon)
 
-        # 1. drain the event queue: offline means every task arrives at
-        # t=0 and every fault is a strike event. Equal-time strikes pop in
-        # insertion order (the queue is FIFO per (time, kind)), matching
-        # the stable time-sort of the pre-event-queue loop bit-for-bit.
-        queue = EventQueue()
-        bin_counts: dict[Mode, int] = {}
-        for mode in Mode:
-            bins = self._partition.bins(mode)
-            bin_counts[mode] = len(bins)
-            for idx, taskset in enumerate(bins):
-                for task in taskset:
-                    queue.push_at(0.0, EventKind.ARRIVAL, (mode, idx, task))
-        for fault in faults:
-            queue.push_at(fault.time, EventKind.FAULT_STRIKE, fault)
-
-        arrivals: dict[tuple[Mode, int], list] = {}
-        records: list[FaultRecord] = []
-        aborts: dict[tuple[Mode, int], list[float]] = {}
-        blackouts: dict[tuple[Mode, int], list[tuple[float, float]]] = {}
-        for ev in queue.drain():
-            if ev.kind is EventKind.ARRIVAL:
-                mode, idx, task = ev.data
-                arrivals.setdefault((mode, idx), []).append(task)
-                continue
-            fault = ev.data
-            if fault.time >= horizon:
-                raise ValueError(
-                    f"fault at {fault.time} is beyond the horizon {horizon}"
-                )
-            outcome, mode, chan, seg = self.classify_fault(fault)
+        # 1. classify the strikes in time order (stable: equal-time strikes
+        # keep their given order). Fail-silent strikes open a blackout and
+        # an abort on their channel; the records wait for their victims.
+        strikes: list[tuple[Fault, FaultOutcome, Mode | None, str | None, str]] = []
+        aborts: dict[str, list[float]] = {}
+        blackouts: dict[str, list[tuple[float, float]]] = {}
+        for fault in sorted(faults, key=_BY_TIME):
+            t = fault.time
+            if t >= horizon:
+                raise ValueError(f"fault at {t} is beyond the horizon {horizon}")
+            row, cycle = self._strike(fault)
+            outcome, _chan, key = row.effects[fault.core]
             if outcome is FaultOutcome.HARMLESS:
-                records.append(
-                    FaultRecord(
-                        fault, outcome, mode, None,
-                        detail=f"hit {seg.kind} time",
-                    )
-                )
+                strikes.append((fault, outcome, row.mode, None, row.harmless))
                 continue
             if outcome is FaultOutcome.MASKED:
                 detail = "majority vote over redundant lock-step"
             elif outcome is FaultOutcome.SILENCED:
-                key = (mode, chan)
-                aborts.setdefault(key, []).append(fault.time)
-                blackouts.setdefault(key, []).append((fault.time, seg.end))
-                # The victim (running job) is filled in after simulation.
-                detail = f"channel blocked until {seg.end:g}"
+                end = cycle * self._period + row.rel_b
+                aborts.setdefault(key, []).append(t)
+                blackouts.setdefault(key, []).append((t, end))
+                detail = f"channel blocked until {end:g}"
             else:  # CORRUPTED — resolved against the slice columns afterwards
                 detail = "undetected soft error"
-            records.append(
-                FaultRecord(
-                    fault, outcome, mode, _proc_key(mode, chan), detail=detail
-                )
-            )
+            strikes.append((fault, outcome, row.mode, key, detail))
 
-        # 2. run every logical processor on the tasks the drain delivered
+        # 2. run every logical processor on its partition bin
         processors: dict[str, UniprocResult] = {}
         for mode in Mode:
             windows = self._controller.usable_windows(mode, horizon)
-            for idx in range(bin_counts[mode]):
-                taskset = TaskSet(arrivals.get((mode, idx), ()))
+            for idx, taskset in enumerate(self._partition.bins(mode)):
                 if len(taskset) == 0:
                     continue
                 key = _proc_key(mode, idx)
-                proc_windows = subtract_blackouts(
-                    windows, blackouts.get((mode, idx), [])
-                )
+                proc_windows = subtract_blackouts(windows, blackouts.get(key, []))
                 offsets = self._resolve_offsets(release_offsets, mode, taskset)
-                result = simulate_uniproc(
+                processors[key] = simulate_uniproc(
                     taskset,
                     make_policy(taskset, self._alg),
                     proc_windows,
                     horizon,
                     processor=key,
                     release_offsets=offsets,
-                    abort_events=aborts.get((mode, idx), ()),
+                    abort_events=aborts.get(key, ()),
                 )
-                processors[key] = result
 
         # 3. resolve fault victims against what the processors ran
-        final_records: list[FaultRecord] = []
+        records: list[FaultRecord] = []
         abort_log: dict[str, list[SimEvent]] = {}
-        for rec in records:
+        for fault, outcome, mode, key, detail in strikes:
             victim = None
-            if (
-                rec.outcome is FaultOutcome.CORRUPTED
-                and rec.processor not in processors
-            ):
-                # The struck core hosts no tasks at all: nothing observable
-                # was corrupted.
-                rec = FaultRecord(
-                    rec.fault, FaultOutcome.HARMLESS, rec.mode,
-                    rec.processor, detail="core hosts no tasks",
-                )
-            if rec.processor in processors:
-                res = processors[rec.processor]
-                if rec.outcome is FaultOutcome.CORRUPTED:
-                    job = res.running_job(rec.fault.time)
-                    if job is None:
-                        rec = FaultRecord(
-                            rec.fault, FaultOutcome.HARMLESS, rec.mode,
-                            rec.processor, detail="core was idle",
-                        )
-                    else:
-                        # Mark the job object for downstream consumers.
-                        job.corrupted = True
-                        victim = job.name
-                elif rec.outcome is FaultOutcome.SILENCED:
-                    # The victim is the job the abort event killed at this time.
-                    if rec.processor not in abort_log:
-                        abort_log[rec.processor] = res.trace.events_of(
-                            SimEventKind.ABORT
-                        )
-                    for e in abort_log[rec.processor]:
-                        if abs(e.time - rec.fault.time) <= EPS:
-                            victim = e.who
-                            break
-            if victim is not None:
-                rec = FaultRecord(
-                    rec.fault, rec.outcome, rec.mode, rec.processor,
-                    victim=victim, detail=rec.detail,
-                )
-            final_records.append(rec)
+            res = processors.get(key)
+            if outcome is FaultOutcome.CORRUPTED:
+                job = None if res is None else res.job_id_at(fault.time)
+                if job is not None:
+                    res.corrupt(job)
+                    victim = res.job_columns.name(job)
+                else:
+                    # The struck core hosts no tasks, or ran none just then:
+                    # nothing observable was corrupted.
+                    outcome = FaultOutcome.HARMLESS
+                    detail = "core hosts no tasks" if res is None else "core was idle"
+            elif outcome is FaultOutcome.SILENCED and res is not None:
+                # The victim is the job the abort event killed at this time.
+                if key not in abort_log:
+                    abort_log[key] = res.trace.events_of(SimEventKind.ABORT)
+                for e in abort_log[key]:
+                    if abs(e.time - fault.time) <= EPS:
+                        victim = e.who
+                        break
+            records.append(
+                FaultRecord(fault, outcome, mode, key, victim=victim, detail=detail)
+            )
 
         def build() -> tuple[list[ExecutionSlice], list[SimEvent]]:
             # Every processor's events in processor order, then the fault
@@ -399,7 +441,7 @@ class MulticoreSim:
                     f"{rec.outcome}"
                     + (f" victim={rec.victim}" if rec.victim else ""),
                 )
-                for rec in final_records
+                for rec in records
             ]
             return slices, events
 
@@ -408,7 +450,7 @@ class MulticoreSim:
             schedule=self._schedule,
             processors=processors,
             trace=SimTrace.deferred(horizon, build),
-            fault_records=final_records,
+            fault_records=records,
         )
 
     def _resolve_offsets(

@@ -1,7 +1,6 @@
 """Online simulation: runtime arrivals, live admission, re-assignment.
 
-The second engine on the event-driven core (:mod:`repro.sim.events`).
-Where :class:`~repro.sim.multicore.MulticoreSim` admits a fixed task set
+The engine on the event-driven core (:mod:`repro.sim.events`). Where :class:`~repro.sim.multicore.MulticoreSim` admits a fixed task set
 offline and replays a whole horizon, :class:`OnlineSim` runs the dynamic
 scenario Section 4 motivates: tasks **arrive and leave at run time**, each
 arrival is decided live by the deployed

@@ -1,10 +1,14 @@
 """Preemptive uniprocessor scheduling policies for the simulator.
 
-A policy is a stateless job selector: given the currently active jobs it
-returns the one to execute. Preemption is handled by the simulator, which
-re-invokes the selector at every event (release, completion, window edge).
-Ties are broken deterministically (earlier release, then task name) so
-simulations are reproducible.
+A policy is a stateless job order: :meth:`SchedulingPolicy.key` gives a
+job its priority key from its task, release and absolute deadline, and the
+job with the least key runs. Every key ends in ``(release, task name)``,
+which no two jobs of one task set share, so the order is total and
+simulations are reproducible. The uniprocessor simulator keeps its ready
+jobs in a heap by this key; :meth:`SchedulingPolicy.select` picks from a
+list of :class:`~repro.model.Job` objects by the same key. Preemption is
+the simulator's: it re-reads the least key at every event (release,
+completion, abort, window edge).
 """
 
 from __future__ import annotations
@@ -13,18 +17,26 @@ import abc
 from typing import Mapping, Sequence
 
 from repro.analysis import priority_order
-from repro.model import Job, JobState, Task, TaskSet
-from repro.util import EPS
+from repro.model import Job, Task, TaskSet
 
 
 class SchedulingPolicy(abc.ABC):
-    """Picks which active job runs next on one logical processor."""
+    """Orders the active jobs of one logical processor."""
 
     name: str = "abstract"
 
     @abc.abstractmethod
+    def key(self, task: Task, release: float, absolute_deadline: float) -> tuple:
+        """Priority key of a job of ``task``: the least key runs first."""
+
     def select(self, jobs: Sequence[Job]) -> Job | None:
-        """The job to execute among ``jobs`` (None when the set is empty)."""
+        """The active job with the least key (None when there is none)."""
+        key = self.key
+        return min(
+            (j for j in jobs if j.is_active),
+            key=lambda j: key(j.task, j.release, j.absolute_deadline),
+            default=None,
+        )
 
 
 class FixedPriorityPolicy(SchedulingPolicy):
@@ -48,12 +60,8 @@ class FixedPriorityPolicy(SchedulingPolicy):
         except KeyError:
             raise KeyError(f"task {task_name!r} has no assigned priority") from None
 
-    def select(self, jobs: Sequence[Job]) -> Job | None:
-        return min(
-            (j for j in jobs if j.is_active),
-            key=lambda j: (self.rank_of(j.task.name), j.release, j.task.name),
-            default=None,
-        )
+    def key(self, task: Task, release: float, absolute_deadline: float) -> tuple:
+        return (self.rank_of(task.name), release, task.name)
 
 
 class EDFPolicy(SchedulingPolicy):
@@ -61,22 +69,8 @@ class EDFPolicy(SchedulingPolicy):
 
     name = "EDF"
 
-    def select(self, jobs: Sequence[Job]) -> Job | None:
-        # The first active job with the least key, as min() would pick it;
-        # keys are only built to break a deadline tie.
-        best = None
-        for j in jobs:
-            if j.state is not JobState.READY or j.remaining <= EPS:
-                continue  # not j.is_active
-            if best is None:
-                best = j
-                continue
-            d, best_d = j.absolute_deadline, best.absolute_deadline
-            if d < best_d or (
-                d == best_d and (j.release, j.task.name) < (best.release, best.task.name)
-            ):
-                best = j
-        return best
+    def key(self, task: Task, release: float, absolute_deadline: float) -> tuple:
+        return (absolute_deadline, release, task.name)
 
 
 def make_policy(taskset: TaskSet, algorithm: str) -> SchedulingPolicy:

@@ -10,29 +10,36 @@ Job releases follow the synchronous periodic pattern (``k T_i + offset``) —
 the worst case the analysis assumes; per-task release offsets allow the
 validation layer to align the critical instant with a slot blackout.
 
-The loop advances from event to event: a window edge, a release, an abort
-or the running job's completion. One step admits the releases due, logs
-the misses of ready jobs past their deadline, asks the policy for a job and
-runs it to the next event, so its cost is the ready set plus one policy
-call. Completed jobs leave the ready set when they complete and aborted
-jobs when the abort fires, so the ready set only ever holds ``READY`` jobs.
+The loop runs on records, not objects. Each job is an id into
+:class:`JobColumns` (task, activation, release, remaining work, state,
+completion time, corruption), with ids in the order of
+:attr:`UniprocResult.jobs`. The loop advances from event to event: a
+window edge, a release, an abort or the running job's completion. One step
+admits the releases due into a heap ordered by the policy's
+:meth:`~repro.sim.scheduler.SchedulingPolicy.key`, logs the unfinished
+jobs whose deadline has just passed (a second heap, by absolute deadline,
+holds the admitted jobs until then) and runs the top of the ready heap to
+the next event. A job leaves the ready heap when it completes or is
+aborted, so the heap only ever holds active jobs.
 
-The loop records columns, not trace records: each execution slice as its
-job, start and end in three parallel lists, and as events only the rare
-deadline misses and aborts. The RELEASE events are the releases the loop
-admitted and the COMPLETION events the completed jobs' completion times, so
-the result's :class:`~repro.sim.trace.SimTrace` is deferred and builds its
-slices and events from these records when first read.
+Each execution slice is recorded as its job id, start and end in three
+parallel lists, and as events only the rare deadline misses and aborts.
+The RELEASE events are the releases the loop admitted and the COMPLETION
+events the completed jobs' completion times, so the result's
+:class:`~repro.sim.trace.SimTrace` is deferred and builds its slices and
+events from these records when first read; the result's
+:class:`~repro.model.Job` objects are likewise built from the columns on
+first read.
 """
 
 from __future__ import annotations
 
 import bisect
+import heapq
 import math
-from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from repro.model import Job, JobState, TaskSet
+from repro.model import Job, JobState, Task, TaskSet
 from repro.sim.scheduler import SchedulingPolicy
 from repro.sim.trace import ExecutionSlice, SimEvent, SimEventKind, SimTrace
 from repro.util import EPS, check_positive
@@ -107,7 +114,67 @@ def subtract_blackouts(
     return [p for p in out if p[1] - p[0] > EPS]
 
 
-@dataclass
+class JobColumns:
+    """Every job of one run as parallel lists, indexed by job id.
+
+    Ids follow the order of :attr:`UniprocResult.jobs`: task by task in
+    task-set order, then by activation. Each column holds one field of
+    :class:`~repro.model.Job`: the generating ``task``, the activation
+    ``index``, the ``release``, the ``remaining`` work, the ``state``, the
+    ``completion`` time (None until the job completes) and the
+    ``corrupted`` mark. The simulator updates them in place, and
+    :meth:`jobs` builds the objects from them.
+    """
+
+    __slots__ = (
+        "task", "index", "release", "remaining", "state", "completion",
+        "corrupted",
+    )
+
+    def __init__(self, task, index, release, remaining, state, completion, corrupted):
+        self.task: list[Task] = task
+        self.index: list[int] = index
+        self.release: list[float] = release
+        self.remaining: list[float] = remaining
+        self.state: list[JobState] = state
+        self.completion: list[float | None] = completion
+        self.corrupted: list[bool] = corrupted
+
+    @classmethod
+    def of(cls, jobs: Sequence[Job]) -> "JobColumns":
+        """The columns of a list of jobs."""
+        return cls(
+            [j.task for j in jobs],
+            [j.index for j in jobs],
+            [j.release for j in jobs],
+            [j.remaining for j in jobs],
+            [j.state for j in jobs],
+            [j.completion_time for j in jobs],
+            [j.corrupted for j in jobs],
+        )
+
+    def __len__(self) -> int:
+        return len(self.task)
+
+    def name(self, i: int) -> str:
+        """Job ``i``'s name, ``task#index`` as :attr:`Job.name` spells it."""
+        return f"{self.task[i].name}#{self.index[i]}"
+
+    def names_in(self, state: JobState) -> list[str]:
+        """Names of the jobs in ``state``, in id order."""
+        return [self.name(i) for i, s in enumerate(self.state) if s is state]
+
+    def jobs(self) -> list[Job]:
+        """One :class:`~repro.model.Job` per id, with the columns' values."""
+        return [
+            Job(task, release, k, remaining, state, completion, corrupted)
+            for task, k, release, remaining, state, completion, corrupted in zip(
+                self.task, self.index, self.release, self.remaining,
+                self.state, self.completion, self.corrupted,
+            )
+        ]
+
+
 class UniprocResult:
     """Outcome of a single-processor simulation.
 
@@ -116,22 +183,61 @@ class UniprocResult:
     processor:
         Logical processor label (e.g. ``"FS[1]"``).
     jobs:
-        Every job instance released before the horizon.
+        Every job instance released before the horizon. A simulated
+        result builds the list from :attr:`job_columns` on its first read
+        and keeps it.
     trace:
         Slices and events of this processor, built from the run's records
         when first read (see :meth:`~repro.sim.trace.SimTrace.deferred`).
+    job_columns:
+        The jobs as :class:`JobColumns`, the record the run keeps. Reads
+        that need no :class:`~repro.model.Job` object use them.
     slice_columns:
         The run's execution slices as three parallel columns, in time
-        order: the :class:`~repro.model.Job` that ran, and the slice's start
-        and end. ``trace.slices`` is built from them.
+        order: the id of the job that ran, and the slice's start and end.
+        ``trace.slices`` is built from them.
+
+    Built from a list of jobs (``UniprocResult(processor, jobs, trace)``),
+    the result keeps that list and derives the columns from it.
     """
 
-    processor: str
-    jobs: list[Job]
-    trace: SimTrace
-    slice_columns: tuple[list[Job], list[float], list[float]] = field(
-        default_factory=lambda: ([], [], []), repr=False
-    )
+    def __init__(
+        self,
+        processor: str,
+        jobs: list[Job] | JobColumns,
+        trace: SimTrace,
+        slice_columns: tuple[list[int], list[float], list[float]] | None = None,
+    ):
+        self.processor = processor
+        self.trace = trace
+        if isinstance(jobs, JobColumns):
+            self.job_columns, self._jobs = jobs, None
+        else:
+            self.job_columns, self._jobs = JobColumns.of(jobs), jobs
+        self.slice_columns = slice_columns or ([], [], [])
+
+    def __repr__(self) -> str:
+        return (
+            f"UniprocResult({self.processor!r}, {len(self.job_columns)} jobs, "
+            f"{len(self.slice_columns[0])} slices)"
+        )
+
+    @property
+    def jobs(self) -> list[Job]:
+        """Every job, built from the columns on first read."""
+        if self._jobs is None:
+            self._jobs = self.job_columns.jobs()
+        return self._jobs
+
+    def corrupt(self, job_id: int) -> None:
+        """Mark job ``job_id``'s output corrupted (an NF fault hit it).
+
+        The mark goes into the columns, and onto the job object too when
+        :attr:`jobs` was already built.
+        """
+        self.job_columns.corrupted[job_id] = True
+        if self._jobs is not None:
+            self._jobs[job_id].corrupted = True
 
     @property
     def misses(self) -> list[SimEvent]:
@@ -162,8 +268,8 @@ class UniprocResult:
         rts = self.response_times().get(task)
         return max(rts) if rts else None
 
-    def running_job(self, t: float) -> Job | None:
-        """The job executing at instant ``t`` (None when idle).
+    def job_id_at(self, t: float) -> int | None:
+        """Id of the job executing at instant ``t`` (None when idle).
 
         The job of the first slice with ``start - EPS <= t < end - EPS``.
         Slices are in time order and do not overlap, so both bounds grow
@@ -176,10 +282,15 @@ class UniprocResult:
         started = bisect.bisect_right(starts, t, key=lambda start: start - EPS)
         return ran[first] if first < started else None
 
+    def running_job(self, t: float) -> Job | None:
+        """The job executing at instant ``t`` (None when idle)."""
+        i = self.job_id_at(t)
+        return self.jobs[i] if i is not None else None
+
     def job_running_at(self, t: float) -> str | None:
         """Name of the job executing at instant ``t`` (None when idle)."""
-        job = self.running_job(t)
-        return job.name if job is not None else None
+        i = self.job_id_at(t)
+        return self.job_columns.name(i) if i is not None else None
 
 
 def simulate_uniproc(
@@ -213,17 +324,21 @@ def simulate_uniproc(
 
     Returns
     -------
-    :class:`UniprocResult` with all jobs and the run's slice columns. Its
-    trace builds the slices and events from the run's records on first read.
+    :class:`UniprocResult` with the run's job and slice columns. Its jobs
+    and its trace are built from them on first read.
     """
     check_positive("horizon", horizon)
     offsets = release_offsets or {}
     windows = merge_windows(windows, horizon)
     aborts = sorted(t for t in abort_events if 0.0 <= t < horizon)
 
-    # Pre-generate all releases before the horizon, time-ordered.
-    jobs: list[Job] = []
-    releases: list[tuple[float, Job]] = []
+    # The job columns: every release before the horizon, task by task.
+    cut = horizon - EPS
+    task_of: list[Task] = []
+    index: list[int] = []
+    release: list[float] = []
+    deadline: list[float] = []
+    remaining: list[float] = []
     for task in taskset:
         off = float(offsets.get(task.name, 0.0))
         if off < 0:
@@ -234,31 +349,50 @@ def simulate_uniproc(
             raise ValueError(
                 f"release offset of {task.name} must be finite: got {off}"
             )
+        period, rel_deadline = task.period, task.deadline
         k = 0
         while True:
-            r = off + k * task.period
-            if r >= horizon - EPS:
+            r = off + k * period
+            if r >= cut:
                 break
-            job = Job(task, r, k)
-            jobs.append(job)
-            releases.append((r, job))
+            release.append(r)
+            deadline.append(r + rel_deadline)
             k += 1
-    releases.sort(key=lambda p: (p[0], p[1].task.name))
-    release_times = [r for r, _ in releases]
-    release_jobs = [job for _, job in releases]
-    n_releases, n_aborts = len(releases), len(aborts)
+        task_of += [task] * k
+        index += range(k)
+        remaining += [task.wcet] * k
+    n = len(release)
+    READY, COMPLETED, ABORTED = JobState.READY, JobState.COMPLETED, JobState.ABORTED
+    state = [READY] * n
+    completion: list[float | None] = [None] * n
+    jobs = JobColumns(
+        task_of, index, release, remaining, state, completion, [False] * n
+    )
+    name = jobs.name
+    # Release order: by time, then task name. No two jobs share both, so
+    # this is the stable (time, name) order; one task's jobs are in it.
+    if len(taskset) > 1:
+        release_ids = sorted(range(n), key=lambda i: (release[i], task_of[i].name))
+        release_times = [release[i] for i in release_ids]
+    else:
+        release_ids, release_times = range(n), release
+    n_aborts = len(aborts)
 
-    READY, COMPLETED = JobState.READY, JobState.COMPLETED
     MISS, ABORT = SimEventKind.DEADLINE_MISS, SimEventKind.ABORT
-    select = policy.select
+    key = policy.key
+    push, pop = heapq.heappush, heapq.heappop
     # The slice columns, and the only events logged as they happen.
-    ran: list[Job] = []
+    ran: list[int] = []
     starts: list[float] = []
     ends: list[float] = []
     logged: list[SimEvent] = []
-    last = None  # the job of the last slice
-    ready: list[Job] = []
-    missed: set[str] = set()
+    last = -1  # the job of the last slice
+    # The active jobs by priority key: the top runs. A job leaves when it
+    # completes or is aborted; one with no work left never enters.
+    ready: list[tuple[tuple, int]] = []
+    # The admitted jobs by absolute deadline, until their deadline passes.
+    due: list[tuple[float, int]] = []
+    missed: set[int] = set()
     rel_idx = 0
     abort_idx = 0
 
@@ -272,121 +406,112 @@ def simulate_uniproc(
             # kill a job that starts later.
             while abort_idx < n_aborts and aborts[abort_idx] <= soon:
                 abort_idx += 1
-            while rel_idx < n_releases and release_times[rel_idx] <= soon:
-                ready.append(release_jobs[rel_idx])
+            while rel_idx < n and release_times[rel_idx] <= soon:
+                i = release_ids[rel_idx]
                 rel_idx += 1
-            # Log (once) every active job whose deadline has passed.
+                if remaining[i] > EPS:
+                    push(ready, (key(task_of[i], release[i], deadline[i]), i))
+                    push(due, (deadline[i], i))
+            # Log every active job whose deadline has passed. A deadline
+            # stays passed, so each job is looked at once, at the first step
+            # past its deadline.
             late = now - EPS
-            for job in ready:
-                if (
-                    job.absolute_deadline < late
-                    and job.remaining > EPS
-                    and job.name not in missed
-                ):
-                    missed.add(job.name)
+            while due and due[0][0] < late:
+                d, i = pop(due)
+                if state[i] is READY:
+                    missed.add(i)
                     logged.append(
-                        SimEvent(
-                            job.absolute_deadline, MISS, job.name,
-                            f"remaining={job.remaining:g}",
-                        )
+                        SimEvent(d, MISS, name(i), f"remaining={remaining[i]:g}")
                     )
-            # An empty ready set selects nothing (the policy contract).
-            job = select(ready) if ready else None
             boundary = win_b
-            if rel_idx < n_releases and release_times[rel_idx] < boundary:
+            if rel_idx < n and release_times[rel_idx] < boundary:
                 boundary = release_times[rel_idx]
             if abort_idx < n_aborts and aborts[abort_idx] < boundary:
                 boundary = aborts[abort_idx]
-            if job is None:
+            if not ready:
                 if boundary >= close:
                     break  # idle until the window closes
                 now = boundary
                 continue
+            i = ready[0][1]
             # min() spelled out: ties return the same value either way.
-            remaining = job.remaining
-            run_until = now + remaining
+            rem = remaining[i]
+            run_until = now + rem
             if boundary <= run_until:
                 run_until = boundary
             if run_until > soon:
                 # Job.execute, inlined.
                 used = run_until - now
-                remaining -= remaining if remaining < used else used
-                job.remaining = remaining = 0.0 if remaining <= EPS else remaining
+                rem -= rem if rem < used else used
+                remaining[i] = rem = 0.0 if rem <= EPS else rem
                 # SimTrace.add_slice on the columns: the job that ran last
                 # continuing after a gap of at most EPS extends its slice.
-                # Job names are unique on a processor, so comparing the jobs
-                # is comparing their names.
-                if job is last and abs(ends[-1] - now) <= EPS:
+                if i == last and abs(ends[-1] - now) <= EPS:
                     ends[-1] = run_until
                 else:
-                    ran.append(job)
+                    ran.append(i)
                     starts.append(now)
                     ends.append(run_until)
-                    last = job
-            if remaining <= EPS and job.state is READY:
-                job.complete(run_until)
-                name = job.name
-                if run_until > job.absolute_deadline + EPS and name not in missed:
-                    missed.add(name)
+                    last = i
+            if rem <= EPS:
+                pop(ready)
+                state[i] = COMPLETED
+                completion[i] = run_until
+                d = deadline[i]
+                if run_until > d + EPS and i not in missed:
+                    missed.add(i)
                     logged.append(
-                        SimEvent(
-                            job.absolute_deadline, MISS, name,
-                            f"completed late at {run_until:g}",
-                        )
+                        SimEvent(d, MISS, name(i), f"completed late at {run_until:g}")
                     )
-                ready.remove(job)
             now = run_until
             # The abort at `run_until` (if that is why we stopped) kills the
-            # job that was just executing, provided it is still active.
+            # job that was just executing, provided it is still active: it
+            # is still the top of the ready heap.
             soon = now + EPS
             if abort_idx < n_aborts and aborts[abort_idx] <= soon:
-                victim = job if job.is_active else None
+                victim = state[i] is READY
                 while abort_idx < n_aborts and aborts[abort_idx] <= soon:
-                    if victim is not None:
-                        victim.abort()
+                    if victim:
+                        state[i] = ABORTED
                         logged.append(
-                            SimEvent(
-                                aborts[abort_idx], ABORT, victim.name,
-                                "channel silenced",
-                            )
+                            SimEvent(aborts[abort_idx], ABORT, name(i), "channel silenced")
                         )
-                        ready.remove(victim)
-                        victim = None
+                        pop(ready)
+                        victim = False
                     abort_idx += 1
-    # Horizon post-pass: unfinished jobs whose deadline lies inside the horizon.
-    for job in jobs:
+    # Horizon post-pass: unfinished jobs whose deadline lies inside the
+    # horizon. Those still ready and those never admitted are all the jobs
+    # left unfinished, less the ones with no work.
+    for i in [i for _, i in ready] + list(release_ids[rel_idx:]):
         if (
-            job.state is JobState.READY
-            and job.remaining > EPS
-            and job.absolute_deadline <= horizon + EPS
-            and job.name not in missed
+            remaining[i] > EPS
+            and deadline[i] <= horizon + EPS
+            and i not in missed
         ):
-            missed.add(job.name)
+            missed.add(i)
             logged.append(
                 SimEvent(
-                    job.absolute_deadline, MISS, job.name,
-                    f"unfinished at horizon (remaining={job.remaining:g})",
+                    deadline[i], MISS, name(i),
+                    f"unfinished at horizon (remaining={remaining[i]:g})",
                 )
             )
-    admitted = rel_idx
+    admitted = release_ids[:rel_idx]
 
     def build() -> tuple[list[ExecutionSlice], list[SimEvent]]:
         # Each job has at most one release, completion, miss and abort, and
         # job names are unique here, so no two events share a sort key: the
         # trace's one sort gives the order whatever order they come in.
+        names = [name(i) for i in range(n)]
         slices = [
-            ExecutionSlice(processor, job.name, job.task.name, start, end)
-            for job, start, end in zip(ran, starts, ends)
+            ExecutionSlice(processor, names[i], task_of[i].name, start, end)
+            for i, start, end in zip(ran, starts, ends)
         ]
-        released = release_jobs[:admitted]
-        events = [
-            SimEvent(job.release, SimEventKind.RELEASE, job.name)
-            for job in released
-        ]
+        RELEASE, COMPLETION = SimEventKind.RELEASE, SimEventKind.COMPLETION
+        events = [SimEvent(release[i], RELEASE, names[i]) for i in admitted]
         events += [
-            SimEvent(job.completion_time, SimEventKind.COMPLETION, job.name)
-            for job in released
-            if job.state is COMPLETED
+            SimEvent(completion[i], COMPLETION, names[i])
+            for i in admitted
+            if state[i] is COMPLETED
         ]
         events += logged
         return slices, events

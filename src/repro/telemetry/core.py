@@ -39,22 +39,35 @@ from typing import Any, Mapping, TextIO
 #: Bump when the NDJSON trace record layout changes.
 TRACE_SCHEMA = 1
 
-_local = threading.local()
+
+class _Local(threading.local):
+    """This thread's telemetry state.
+
+    ``telemetry`` has a class-level default, so a thread that never
+    activated a recorder reads ``None`` by plain attribute lookup. A bare
+    :class:`threading.local` would raise and catch an ``AttributeError`` on
+    every disabled call instead, which costs about six times as much.
+    """
+
+    telemetry: "Telemetry | None" = None
+
+
+_local = _Local()
 
 
 def active() -> "Telemetry | None":
     """The recorder installed for this thread, or None (disabled)."""
-    return getattr(_local, "telemetry", None)
+    return _local.telemetry
 
 
 def enabled() -> bool:
     """Whether any recorder is active on this thread."""
-    return getattr(_local, "telemetry", None) is not None
+    return _local.telemetry is not None
 
 
 def activate(telemetry: "Telemetry | None") -> "Telemetry | None":
     """Install ``telemetry`` for this thread; returns the previous recorder."""
-    previous = getattr(_local, "telemetry", None)
+    previous = _local.telemetry
     _local.telemetry = telemetry
     return previous
 
@@ -76,14 +89,14 @@ class activated:
 
 def count(name: str, n: int = 1) -> None:
     """Add ``n`` to counter ``name`` on the active recorder (no-op if none)."""
-    t = getattr(_local, "telemetry", None)
+    t = _local.telemetry
     if t is not None:
         t.count(name, n)
 
 
 def gauge(name: str, value: float) -> None:
     """Set gauge ``name`` on the active recorder (no-op if none)."""
-    t = getattr(_local, "telemetry", None)
+    t = _local.telemetry
     if t is not None:
         t.gauge(name, value)
 
@@ -105,7 +118,7 @@ NULL_SPAN = _NullSpan()
 
 def span(name: str, **attrs: Any) -> "Any":
     """A timed span on the active recorder; the shared no-op when disabled."""
-    t = getattr(_local, "telemetry", None)
+    t = _local.telemetry
     if t is None:
         return NULL_SPAN
     return _Span(t, name, attrs)

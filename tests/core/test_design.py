@@ -133,3 +133,42 @@ class TestDesignMechanics:
         )
         assert cfg.period < 2.966  # RM region is strictly smaller
         assert all(quanta_feasible(paper_part, "RM", cfg.schedule).values())
+
+    @pytest.mark.parametrize("goal", ["min-overhead-bandwidth", "max-slack"])
+    @pytest.mark.parametrize("alg", ["EDF", "RM"])
+    def test_binding_quanta_computed_once(self, monkeypatch, paper_part, goal, alg):
+        # The Eqs. 12-14 check reads the quanta the design computed at its
+        # period instead of evaluating minQ there a second time.
+        from repro.core.integration import SystemCurve
+
+        periods = []
+        min_quanta = SystemCurve.min_quanta
+
+        def counted(self, period):
+            periods.append(period)
+            return min_quanta(self, period)
+
+        monkeypatch.setattr(SystemCurve, "min_quanta", counted)
+        cfg = design_platform(paper_part, alg, Overheads.uniform(0.05), goal)
+        assert periods == [cfg.period]
+        assert quanta_feasible(paper_part, alg, cfg.schedule) == {m: True for m in Mode}
+
+    def test_check_reads_the_computed_quanta(self, monkeypatch, paper_part):
+        from repro.core import design as design_module
+
+        checked = []
+        verdicts = design_module._quanta_verdicts
+
+        def check(schedule, bounds, *args):
+            checked.append((schedule.period, dict(bounds)))
+            return verdicts(schedule, bounds, *args)
+
+        monkeypatch.setattr(design_module, "_quanta_verdicts", check)
+        cfg = design_platform(paper_part, "EDF", Overheads.uniform(0.05))
+        assert checked == [(cfg.period, dict(cfg.min_quanta))]
+        # A failed check still stops the design.
+        monkeypatch.setattr(
+            design_module, "_quanta_verdicts", lambda s, b: {m: m is not Mode.FS for m in Mode}
+        )
+        with pytest.raises(DesignError, match="validation failed for modes"):
+            design_platform(paper_part, "EDF", Overheads.uniform(0.05))

@@ -135,3 +135,21 @@ class TestMissAccounting:
             "ft#0", "ft#1", "nf#0", "nf#1", "nf#2", "nf#3",
         ]
         assert starved.total_misses == starved.simulation.miss_count
+
+    @pytest.mark.parametrize(
+        "ft, nf", [("ctl#a", "nf"), ("x", "x#1")], ids=["hash-in-ft", "ft-prefix-of-nf"]
+    )
+    def test_task_names_holding_a_hash(self, ft, nf):
+        # A job is named task#index: its task is everything before the last
+        # "#", so a task name may hold one.
+        from repro.core import PlatformConfig, SlotSchedule
+        from repro.model import Task, TaskSet
+        from repro.model.partitioned import partition_from_names
+
+        ts = TaskSet([Task(ft, 3.0, 8.0, mode=Mode.FT), Task(nf, 2.0, 4.0)])
+        part = partition_from_names(ts, {Mode.FT: [[ft]], Mode.NF: [[nf]]})
+        config = PlatformConfig(SlotSchedule(4.0, {Mode.FT: 1.0, Mode.NF: 1.0}), "EDF")
+        res = FaultCampaign(part, config).run(horizon=16.0, faults=[Fault(1.5, 2)])
+        assert res.ft_misses == 2
+        assert res.total_misses == 6
+        assert res.simulation.misses_by_task() == {ft: 2, nf: 4}

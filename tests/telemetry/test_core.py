@@ -48,6 +48,24 @@ class TestActivation:
         thread.join()
         assert seen["other"] is None
 
+    def test_fresh_thread_reads_the_class_default(self):
+        # A thread that never activated a recorder finds None by plain
+        # attribute lookup: the disabled path raises nothing, not even an
+        # AttributeError caught inside getattr.
+        from repro.telemetry import core
+
+        seen = {}
+
+        def probe():
+            seen["state"] = vars(core._local).copy()
+            seen["telemetry"] = core._local.telemetry
+
+        thread = threading.Thread(target=probe)
+        thread.start()
+        thread.join()
+        assert seen == {"state": {}, "telemetry": None}
+        assert type(core._local).telemetry is None
+
     def test_disabled_span_is_shared_noop(self):
         assert telemetry.span("anything") is NULL_SPAN
         with telemetry.span("anything") as s:
