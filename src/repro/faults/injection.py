@@ -13,7 +13,6 @@ errors and aggregates what the paper's Section 2.2 promises qualitatively:
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
@@ -155,14 +154,12 @@ def run_campaign(
 def _aggregate(result: MulticoreResult, injected: int) -> FaultCampaignResult:
     outcomes: dict[FaultOutcome, int] = {o: 0 for o in FaultOutcome}
     by_mode: dict[Mode | None, dict[FaultOutcome, int]] = {}
-    # One count per (mode, outcome) pair, in first-seen order: a mode's row
-    # is built, and placed, when the mode is first seen.
-    pairs = Counter((rec.mode, rec.outcome) for rec in result.fault_records)
-    for (mode, outcome), n in pairs.items():
-        outcomes[outcome] += n
-        if mode not in by_mode:
-            by_mode[mode] = {o: 0 for o in FaultOutcome}
-        by_mode[mode][outcome] = n
+    for rec in result.fault_records:
+        outcomes[rec.outcome] += 1
+        slot = by_mode.get(rec.mode)
+        if slot is None:  # a mode's row is built when the mode is first seen
+            slot = by_mode[rec.mode] = {o: 0 for o in FaultOutcome}
+        slot[rec.outcome] += 1
     misses = result.misses
     ft_tasks = _ft_tasks(result)
     # A job is named task#index, and a task name may hold a "#".

@@ -4,10 +4,11 @@ Turns a :class:`~repro.core.config.SlotSchedule` into the concrete timeline
 of Figure 2 — for every major cycle, each mode's usable window, the
 switch-out overhead window at the slot tail, and any idle reserve at the end
 of the cycle. The multicore simulator consumes each mode's usable windows
-(:meth:`ModeSwitchController.usable_windows`) and classifies fault strikes
-from the cycle template (:attr:`ModeSwitchController.template`) with the
-arithmetic of :meth:`ModeSwitchController.segment_at`, which the online
-engine calls to find what the platform was doing at a fault instant.
+(:meth:`ModeSwitchController.usable_windows`). Both simulators find what
+the platform was doing at a fault instant with
+:meth:`ModeSwitchController.entry_at`, the one lookup of an instant's
+cycle-template entry: the offline one indexes its per-entry fault effects
+by it, and :meth:`ModeSwitchController.segment_at` builds on it.
 """
 
 from __future__ import annotations
@@ -68,32 +69,20 @@ class ModeSwitchController:
         :class:`~repro.core.multislot.SplitSchedule`).
     """
 
-    _KIND = {
-        "usable": SegmentKind.USABLE,
-        "overhead": SegmentKind.OVERHEAD,
-        "idle": SegmentKind.IDLE,
-    }
-
     def __init__(self, schedule: SlotSchedule):
         self._schedule = schedule
+        # The schedule's kind strings are SegmentKind values.
         self._template: list[tuple[float, float, SegmentKind, Mode | None]] = [
-            (a, b, self._KIND[kind], mode)
+            (a, b, SegmentKind(kind), mode)
             for a, b, kind, mode in schedule.cycle_template()
         ]
+        # Half-open bounds: an entry's segment holds lo <= rel < hi.
+        self._bounds = [(a - EPS, b - EPS) for a, b, _, _ in self._template]
 
     @property
     def schedule(self) -> SlotSchedule:
         """The underlying slot schedule."""
         return self._schedule
-
-    @property
-    def template(self) -> list[tuple[float, float, SegmentKind, Mode | None]]:
-        """One cycle's entries ``(rel_a, rel_b, kind, mode)``, in schedule order.
-
-        Cycle ``c``'s segment of an entry spans ``c * period + rel_a`` to
-        ``c * period + rel_b``. The list is shared: do not modify it.
-        """
-        return self._template
 
     def layout_at(self, mode: Mode, core_count: int = 4) -> ModeLayout:
         """Channel layout installed while serving ``mode``."""
@@ -145,28 +134,38 @@ class ModeSwitchController:
             base = cycle * period
         return windows
 
-    def segment_at(self, t: float) -> Segment:
-        """The segment containing time ``t >= 0``.
+    def entry_at(self, t: float) -> tuple[int, int]:
+        """The cycle-template entry whose segment holds time ``t >= 0``.
 
-        Boundary convention: a boundary instant belongs to the *starting*
-        segment (half-open segments), matching the simulator's event order.
+        Returns ``(entry, cycle)``: ``entry`` indexes the schedule's
+        ``cycle_template()``, and the segment spans ``rel_a`` to ``rel_b``
+        of that entry, offset by ``cycle * period``. Boundary convention: a
+        boundary instant belongs to the *starting* segment (half-open
+        segments), matching the simulator's event order.
         """
         check_nonneg("t", t)
         period = self._schedule.period
         cycle = int(t // period)
         rel = t - cycle * period
         # Guard against rel == period from float division artifacts.
-        if rel >= period - EPS and self._template:
+        if rel >= period - EPS and self._bounds:
             cycle += 1
             rel = 0.0
-        for rel_a, rel_b, kind, mode in self._template:
-            if rel_a - EPS <= rel < rel_b - EPS:
-                base = cycle * period
-                return Segment(base + rel_a, base + rel_b, kind, mode, cycle)
+        for entry, (lo, hi) in enumerate(self._bounds):
+            if lo <= rel < hi:
+                return entry, cycle
         # rel fell into the final sliver before the next cycle (float noise):
-        rel_a, rel_b, kind, mode = self._template[-1]
-        base = cycle * period
+        return len(self._bounds) - 1, cycle
+
+    def segment(self, entry: int, cycle: int) -> Segment:
+        """Cycle ``cycle``'s segment of cycle-template entry ``entry``."""
+        rel_a, rel_b, kind, mode = self._template[entry]
+        base = cycle * self._schedule.period
         return Segment(base + rel_a, base + rel_b, kind, mode, cycle)
+
+    def segment_at(self, t: float) -> Segment:
+        """The segment containing time ``t >= 0`` (see :meth:`entry_at`)."""
+        return self.segment(*self.entry_at(t))
 
     def mode_at(self, t: float) -> Mode | None:
         """The operating mode active at ``t`` (None during idle reserve)."""

@@ -7,10 +7,11 @@
    template per mode;
 2. the injected faults are handled in one stable sort by time. Each
    strike is classified from a table the simulator builds on its first
-   classification: for each cycle-template entry, its bounds and, per
-   core, the outcome and channel of the checker semantics of the mode it
-   serves (mask / silence / corrupt / harmless). A lookup is
-   ``segment_at``'s arithmetic plus two indexings, and builds no segment;
+   classification: for each cycle-template entry, per core, the outcome
+   and channel of the checker semantics of the mode it serves (mask /
+   silence / corrupt / harmless). The controller's
+   :meth:`~repro.platform.switcher.ModeSwitchController.entry_at` finds
+   the strike's entry, which indexes the table; no segment is built;
 3. every logical processor of every mode runs its partition bin with the
    local scheduler inside its windows — fail-silent faults black out the
    remainder of the silenced channel's slot and abort the running job;
@@ -81,18 +82,13 @@ def _proc_key(mode: Mode, index: int) -> str:
 class _StrikeRow(NamedTuple):
     """What a strike in one cycle-template entry's segment does."""
 
-    #: ``rel_a - EPS`` and ``rel_b - EPS``: the row holds ``lo <= rel < hi``.
-    lo: float
-    hi: float
-    rel_a: float
-    rel_b: float
     kind: SegmentKind
     mode: Mode | None
+    #: The entry's ``rel_b``: cycle ``c``'s segment ends at ``c * period + end``.
+    end: float
     #: Per core: the outcome, the struck channel's index and its processor
     #: key (both None when harmless).
     effects: tuple[tuple[FaultOutcome, int | None, str | None], ...]
-    #: A harmless strike's record detail.
-    harmless: str
 
 
 @functools.cache
@@ -118,24 +114,22 @@ def _layout_effects(
 _HARMLESS_DETAIL = {kind: f"hit {kind} time" for kind in SegmentKind}
 
 
-def _strike_table(controller: ModeSwitchController, core_count: int) -> list[_StrikeRow]:
-    """One :class:`_StrikeRow` per entry of the controller's cycle template.
+def _strike_table(schedule: SlotSchedule, core_count: int) -> list[_StrikeRow]:
+    """One :class:`_StrikeRow` per entry of the schedule's cycle template,
+    indexed as :meth:`ModeSwitchController.entry_at` numbers them.
 
     A strike in a usable segment of a mode hits the channel of the mode's
     layout that holds the struck core, with that channel's fault effect;
     anywhere else it is harmless.
     """
     harmless = ((FaultOutcome.HARMLESS, None, None),) * core_count
-    return [
-        _StrikeRow(
-            rel_a - EPS, rel_b - EPS, rel_a, rel_b, kind, mode,
-            _layout_effects(mode, core_count)
-            if kind is SegmentKind.USABLE and mode is not None
-            else harmless,
-            _HARMLESS_DETAIL[kind],
-        )
-        for rel_a, rel_b, kind, mode in controller.template
-    ]
+    rows = []
+    for _rel_a, rel_b, kind, mode in schedule.cycle_template():
+        kind = SegmentKind(kind)
+        usable = kind is SegmentKind.USABLE and mode is not None
+        effects = _layout_effects(mode, core_count) if usable else harmless
+        rows.append(_StrikeRow(kind, mode, rel_b, effects))
+    return rows
 
 
 @dataclass
@@ -257,7 +251,6 @@ class MulticoreSim:
         self._partition = partition
         self._controller = ModeSwitchController(self._schedule)
         self._core_count = 4 if core_count is None else int(core_count)
-        self._period = self._schedule.period
 
     @property
     def core_count(self) -> int:
@@ -288,42 +281,24 @@ class MulticoreSim:
     @functools.cached_property
     def _strikes(self) -> list[_StrikeRow]:
         """The strike table, built on the first classification."""
-        return _strike_table(self._controller, self._core_count)
+        return _strike_table(self._schedule, self._core_count)
 
-    def _strike(self, fault: Fault) -> tuple[_StrikeRow, int]:
-        """The table row of the segment ``fault`` hits, and the cycle.
-
-        :meth:`ModeSwitchController.segment_at`'s arithmetic: the same
-        ``//``, the same guard for ``rel`` at the period's end, the first
-        row whose ``[rel_a - EPS, rel_b - EPS)`` holds ``rel`` and the last
-        row when none does.
-        """
+    def _entry_at(self, fault: Fault) -> tuple[int, int]:
+        """The cycle-template entry ``fault`` strikes, and the cycle."""
         if not 0 <= fault.core < self._core_count:
             raise ValueError(
                 f"fault on core {fault.core} is outside the simulated "
                 f"platform's cores 0..{self._core_count - 1}: regenerate "
                 f"the fault stream with core_count={self._core_count}"
             )
-        t, period, rows = fault.time, self._period, self._strikes
-        cycle = int(t // period)
-        rel = t - cycle * period
-        # Guard against rel == period from float division artifacts.
-        if rel >= period - EPS and rows:
-            cycle += 1
-            rel = 0.0
-        for row in rows:
-            if row.lo <= rel < row.hi:
-                return row, cycle
-        # rel fell into the final sliver before the next cycle (float noise).
-        return rows[-1], cycle
+        return self._controller.entry_at(fault.time)
 
     def classify_fault(self, fault: Fault) -> tuple[FaultOutcome, Mode | None, int | None, Segment]:
         """Checker view of a fault: (outcome, mode, channel index, segment)."""
-        row, cycle = self._strike(fault)
+        entry, cycle = self._entry_at(fault)
+        row = self._strikes[entry]
         outcome, chan, _key = row.effects[fault.core]
-        base = cycle * self._period
-        segment = Segment(base + row.rel_a, base + row.rel_b, row.kind, row.mode, cycle)
-        return outcome, row.mode, chan, segment
+        return outcome, row.mode, chan, self._controller.segment(entry, cycle)
 
     # -- main entry ----------------------------------------------------------------
 
@@ -362,15 +337,17 @@ class MulticoreSim:
             t = fault.time
             if t >= horizon:
                 raise ValueError(f"fault at {t} is beyond the horizon {horizon}")
-            row, cycle = self._strike(fault)
+            entry, cycle = self._entry_at(fault)
+            row = self._strikes[entry]
             outcome, _chan, key = row.effects[fault.core]
             if outcome is FaultOutcome.HARMLESS:
-                strikes.append((fault, outcome, row.mode, None, row.harmless))
+                detail = _HARMLESS_DETAIL[row.kind]
+                strikes.append((fault, outcome, row.mode, None, detail))
                 continue
             if outcome is FaultOutcome.MASKED:
                 detail = "majority vote over redundant lock-step"
             elif outcome is FaultOutcome.SILENCED:
-                end = cycle * self._period + row.rel_b
+                end = cycle * self._schedule.period + row.end
                 aborts.setdefault(key, []).append(t)
                 blackouts.setdefault(key, []).append((t, end))
                 detail = f"channel blocked until {end:g}"

@@ -1,6 +1,7 @@
 """Online simulation: runtime arrivals, live admission, re-assignment.
 
-The engine on the event-driven core (:mod:`repro.sim.events`). Where :class:`~repro.sim.multicore.MulticoreSim` admits a fixed task set
+The engine on the event-driven core (:mod:`repro.sim.events`). Where
+:class:`~repro.sim.multicore.MulticoreSim` admits a fixed task set
 offline and replays a whole horizon, :class:`OnlineSim` runs the dynamic
 scenario Section 4 motivates: tasks **arrive and leave at run time**, each
 arrival is decided live by the deployed
@@ -55,17 +56,11 @@ from repro.core.admission import AdmissionController
 from repro.core.config import PlatformConfig
 from repro.faults.model import Fault, FaultOutcome
 from repro.model import Mode, PartitionedTaskSet, Task
-from repro.platform.hardware import FaultEffect
 from repro.platform.modes import layout_for, surviving_channels
 from repro.platform.switcher import ModeSwitchController, SegmentKind
 from repro.sim.events import EventKind, EventQueue
+from repro.sim.multicore import _layout_effects
 from repro.util import check_positive
-
-_EFFECT_TO_OUTCOME = {
-    FaultEffect.MASKED: FaultOutcome.MASKED,
-    FaultEffect.SILENCED: FaultOutcome.SILENCED,
-    FaultEffect.CORRUPTED: FaultOutcome.CORRUPTED,
-}
 
 
 @dataclass(frozen=True)
@@ -357,12 +352,7 @@ class OnlineSim:
         if seg.kind is not SegmentKind.USABLE or seg.mode is None:
             outcome = FaultOutcome.HARMLESS
         else:
-            layout = layout_for(seg.mode, self._core_count)
-            outcome = FaultOutcome.HARMLESS
-            for channel in layout.channels:
-                if channel.contains(fault.core):
-                    outcome = _EFFECT_TO_OUTCOME[channel.fault_effect()]
-                    break
+            outcome = _layout_effects(seg.mode, self._core_count)[fault.core][0]
         key = str(outcome)
         result.fault_outcomes[key] = result.fault_outcomes.get(key, 0) + 1
 

@@ -198,7 +198,9 @@ class UniprocResult:
         ``trace.slices`` is built from them.
 
     Built from a list of jobs (``UniprocResult(processor, jobs, trace)``),
-    the result keeps that list and derives the columns from it.
+    the result keeps that list and derives the columns from it. Two
+    results are ``==`` when their processor, jobs, trace and slice columns
+    are.
     """
 
     def __init__(
@@ -221,6 +223,16 @@ class UniprocResult:
             f"UniprocResult({self.processor!r}, {len(self.job_columns)} jobs, "
             f"{len(self.slice_columns[0])} slices)"
         )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.processor, self.jobs, self.trace, self.slice_columns) == (
+            other.processor, other.jobs, other.trace, other.slice_columns
+        )
+
+    # Compared by value and mutable (``corrupt``), so not hashable.
+    __hash__ = None
 
     @property
     def jobs(self) -> list[Job]:
@@ -370,12 +382,9 @@ def simulate_uniproc(
     )
     name = jobs.name
     # Release order: by time, then task name. No two jobs share both, so
-    # this is the stable (time, name) order; one task's jobs are in it.
-    if len(taskset) > 1:
-        release_ids = sorted(range(n), key=lambda i: (release[i], task_of[i].name))
-        release_times = [release[i] for i in release_ids]
-    else:
-        release_ids, release_times = range(n), release
+    # this is the stable (time, name) order.
+    release_ids = sorted(range(n), key=lambda i: (release[i], task_of[i].name))
+    release_times = [release[i] for i in release_ids]
     n_aborts = len(aborts)
 
     MISS, ABORT = SimEventKind.DEADLINE_MISS, SimEventKind.ABORT
@@ -482,7 +491,7 @@ def simulate_uniproc(
     # Horizon post-pass: unfinished jobs whose deadline lies inside the
     # horizon. Those still ready and those never admitted are all the jobs
     # left unfinished, less the ones with no work.
-    for i in [i for _, i in ready] + list(release_ids[rel_idx:]):
+    for i in [i for _, i in ready] + release_ids[rel_idx:]:
         if (
             remaining[i] > EPS
             and deadline[i] <= horizon + EPS

@@ -10,14 +10,15 @@ dies (orphaning ``tau4``), and the 4-wide FT voting channel survives with
 
 import dataclasses
 import math
+from collections import Counter
 
 import pytest
 
 from repro.core import Overheads, design_platform
 from repro.experiments.paper import paper_partition
-from repro.faults.model import Fault
+from repro.faults.model import Fault, FaultOutcome
 from repro.model import Mode, Task
-from repro.sim import OnlineArrival, OnlineSim
+from repro.sim import MulticoreSim, OnlineArrival, OnlineSim
 
 
 @pytest.fixture(scope="module")
@@ -183,6 +184,21 @@ class TestFaults:
             faults=[Fault(ft_t, 0), Fault(nf_t, 0), Fault(nf_t + 2e-9, 1)],
         )
         assert result.fault_outcomes == {"masked": 1, "corrupted": 2}
+
+    def test_outcomes_match_the_offline_classifier(self, platform):
+        # On five cores the FS layout keeps a singleton (core 4), so a
+        # strike's outcome depends on the struck core, not only the mode.
+        config, part = platform
+        online = OnlineSim(config, part, core_count=5)
+        offline = MulticoreSim(part, config, core_count=5)
+        faults = [
+            Fault(k * config.period / 40, core, 5) for k in range(80) for core in range(5)
+        ]
+        expected = Counter(str(offline.classify_fault(f)[0]) for f in faults)
+        assert online.run(3 * config.period, faults=faults).fault_outcomes == expected
+        fs_start = config.schedule.usable_window(Mode.FS)[0]
+        by_core = [offline.classify_fault(Fault(fs_start, c, 5))[0] for c in (0, 4)]
+        assert by_core == [FaultOutcome.SILENCED, FaultOutcome.CORRUPTED]
 
     def test_strikes_on_dead_cores_are_dropped(self, platform):
         config, sim = make_sim(platform)

@@ -4,8 +4,9 @@
 kept its jobs as columns: every task arrives through an
 :class:`~repro.sim.events.EventQueue` as an ``ARRIVAL`` event, every fault
 as a ``FAULT_STRIKE`` event, and :func:`reference_classify_fault` walks
-``ModeSwitchController.segment_at`` and the mode's channel layout once per
-strike. Its NF victims are marked on the :class:`~repro.model.Job` object
+the cycle template (:func:`reference_segment_at`, the lookup
+``ModeSwitchController.segment_at`` had) and the mode's channel layout once
+per strike. Its NF victims are marked on the :class:`~repro.model.Job` object
 that ``running_job`` returns. Everything is compared with ``==``: fault
 records, victims, aborted and corrupted jobs, misses, the merged trace and
 every processor's jobs.
@@ -45,11 +46,30 @@ from .test_lean_trace import CAMPAIGN_PARAMS, _count_constructions
 # -- the replaced implementation ----------------------------------------------
 
 
+def reference_segment_at(schedule, t):
+    """The segment holding ``t``: one walk of the cycle template."""
+    template = [(a, b, SegmentKind(kind), mode) for a, b, kind, mode in schedule.cycle_template()]
+    period = schedule.period
+    cycle = int(t // period)
+    rel = t - cycle * period
+    if rel >= period - EPS and template:
+        cycle += 1
+        rel = 0.0
+    for rel_a, rel_b, kind, mode in template:
+        if rel_a - EPS <= rel < rel_b - EPS:
+            base = cycle * period
+            return Segment(base + rel_a, base + rel_b, kind, mode, cycle)
+    rel_a, rel_b, kind, mode = template[-1]
+    base = cycle * period
+    return Segment(base + rel_a, base + rel_b, kind, mode, cycle)
+
+
 def reference_classify_fault(sim, fault):
-    """One ``segment_at`` and one walk of the mode's channel layout."""
+    """One :func:`reference_segment_at` and one walk of the mode's channel
+    layout."""
     if not 0 <= fault.core < sim.core_count:
         raise ValueError(f"fault on core {fault.core} is outside the platform")
-    seg = sim._controller.segment_at(fault.time)
+    seg = reference_segment_at(sim.schedule, fault.time)
     if seg.kind is not SegmentKind.USABLE or seg.mode is None:
         return FaultOutcome.HARMLESS, seg.mode, None, seg
     layout = layout_for(seg.mode, sim.core_count)
@@ -263,6 +283,21 @@ class TestClassifyFaultMatchesReference:
             for fault in faults:
                 assert sim.classify_fault(fault) == reference_classify_fault(sim, fault)
 
+    @pytest.mark.parametrize("name", sorted(SCHEDULES))
+    def test_controller_lookup_equals_the_template_walk(self, name):
+        schedule = SCHEDULES[name]
+        controller = MulticoreSim(paper_partition(), schedule, "EDF")._controller
+        template = schedule.cycle_template()
+        for fault in _edge_faults(schedule, 4, 5) + [Fault(1e6 * schedule.period, 0)]:
+            t = fault.time
+            entry, cycle = controller.entry_at(t)
+            seg = reference_segment_at(schedule, t)
+            assert controller.segment_at(t) == seg, t
+            assert controller.segment(entry, cycle) == seg
+            # The entry indexes the schedule's own template.
+            _rel_a, _rel_b, kind, mode = template[entry]
+            assert (SegmentKind(kind), mode, cycle) == (seg.kind, seg.mode, seg.cycle)
+
     def test_segment_is_built_for_the_caller(self):
         sim = MulticoreSim(paper_partition(), SCHEDULES["slot"], "EDF")
         _outcome, _mode, _chan, seg = sim.classify_fault(Fault(4.0, 1))
@@ -437,6 +472,27 @@ class TestJobColumns:
         result.corrupt(2)
         assert jobs[2].corrupted and result.job_columns.corrupted == [False, False, True]
         assert isinstance(result.job_columns, JobColumns)
+
+
+def test_results_compare_by_value():
+    # Two runs of one simulator are equal, processor by processor and as a
+    # whole, as when the result was a dataclass.
+    sim = MulticoreSim(paper_partition(), SCHEDULES["slot"], "EDF")
+    faults = [Fault(0.5, 0), Fault(1.5, 2), Fault(4.6, 3), Fault(7.9, 1)]
+    first, second = sim.run(30.0, faults=faults), sim.run(30.0, faults=faults)
+    assert first.processors == second.processors
+    assert first == second
+    assert sim.run(30.0) != first
+    key = next(iter(first.processors))
+    res = second.processors[key]
+    assert res == first.processors[key] and res != first.processors[list(first.processors)[1]]
+    res.corrupt(0)
+    assert res != first.processors[key] and first != second
+    assert res != "FT[0]"
+    with pytest.raises(TypeError):
+        hash(res)
+    jobs = [Job(t, 0.0, 0) for t in _ts()]
+    assert UniprocResult("P[0]", jobs, SimTrace(10.0)) == UniprocResult("P[0]", list(jobs), SimTrace(10.0))
 
 
 # -- the policy key ---------------------------------------------------------------------
