@@ -1,14 +1,14 @@
 """Shared fixtures and reporting for the benchmark harness.
 
-Every benchmark regenerates one of the paper's evaluation artifacts (tables,
-figures) or an ablation indexed in DESIGN.md. Regenerated numbers are
+The pytest-benchmark modules time the comparison baselines and the
+analysis/simulation cross-check on the paper's task set. Their numbers are
 
-* asserted against the paper's published values (reproduction guard),
+* asserted against the paper's claims (reproduction guard),
 * attached to the benchmark record via ``benchmark.extra_info``,
 * printed through :func:`report` — which writes to the *real* stdout so the
   paper-style tables survive pytest's capture and land in
-  ``bench_output.txt`` when run as
-  ``pytest benchmarks/ --benchmark-only | tee bench_output.txt``.
+  ``bench_output.txt`` when run from ``benchmarks/`` as
+  ``pytest bench_*.py --benchmark-only | tee bench_output.txt``.
 """
 
 from __future__ import annotations
@@ -84,11 +84,6 @@ def paper_part():
 @pytest.fixture(scope="session")
 def region_edf(paper_part):
     return FeasibleRegion(paper_part, "EDF")
-
-
-@pytest.fixture(scope="session")
-def region_rm(paper_part):
-    return FeasibleRegion(paper_part, "RM")
 
 
 @pytest.fixture(scope="session")

@@ -32,15 +32,6 @@ from repro.analysis.fp import (
     liu_layland_bound,
     liu_layland_test,
 )
-from repro.analysis.jitter import (
-    deadline_set_jitter,
-    edf_demand_jitter,
-    edf_schedulable_jitter,
-    fp_response_time_jitter,
-    fp_schedulable_jitter,
-    fp_workload_jitter,
-    scheduling_points_jitter,
-)
 from repro.analysis.points import scheduling_points
 from repro.analysis.priorities import (
     audsley_opa,
@@ -53,13 +44,6 @@ from repro.analysis.workload import fp_workload, fp_workload_array
 
 __all__ = [
     "scheduling_points",
-    "scheduling_points_jitter",
-    "fp_workload_jitter",
-    "fp_schedulable_jitter",
-    "fp_response_time_jitter",
-    "edf_demand_jitter",
-    "edf_schedulable_jitter",
-    "deadline_set_jitter",
     "fp_workload",
     "fp_workload_array",
     "fp_schedulable_supply",

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 from repro.core import DesignError, Overheads, design_platform
 from repro.model import Mode, PartitionedTaskSet, TaskSet
-from repro.model.transformations import with_mode
 from repro.partition import PartitionError, partition_by_modes, partition_tasks
 
 #: Protection strength order: FT masks, FS detects, NF nothing.
@@ -89,7 +88,7 @@ def evaluate_static(
     )
     admission = admission or ("edf" if algorithm.upper() == "EDF" else "rm")
     # Re-mode the tasks so the bin-packer sees one uniform class.
-    uniform = with_mode(taskset, provided)
+    uniform = TaskSet(t.replace(mode=provided) for t in taskset)
     try:
         partition_tasks(
             uniform,

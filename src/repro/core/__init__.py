@@ -32,21 +32,8 @@ from repro.core.minq import (
     min_quantum_edf,
     min_quantum_exact,
     min_quantum_fp,
-    min_quantum_jitter,
-)
-from repro.core.multislot import (
-    SplitDesign,
-    SplitSchedule,
-    design_split_platform,
-    min_quantum_split,
 )
 from repro.core.region import FeasibleRegion
-from repro.core.sensitivity import (
-    critical_scaling_factor,
-    design_margins,
-    quantum_margin,
-    task_wcet_margin,
-)
 
 __all__ = [
     "min_quantum",
@@ -54,7 +41,6 @@ __all__ = [
     "min_quantum_fp",
     "min_quantum_edf",
     "min_quantum_exact",
-    "min_quantum_jitter",
     "MinQResult",
     "QuantumCurve",
     "SystemCurve",
@@ -71,12 +57,4 @@ __all__ = [
     "FixedPeriodGoal",
     "AdmissionController",
     "AdmissionDecision",
-    "SplitSchedule",
-    "SplitDesign",
-    "design_split_platform",
-    "min_quantum_split",
-    "critical_scaling_factor",
-    "quantum_margin",
-    "task_wcet_margin",
-    "design_margins",
 ]

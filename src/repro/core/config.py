@@ -179,8 +179,7 @@ class SlotSchedule:
 
         ``kind`` is ``"usable"``, ``"overhead"`` or ``"idle"`` — the generic
         timeline interface consumed by
-        :class:`repro.platform.switcher.ModeSwitchController` (shared with
-        :class:`repro.core.multislot.SplitSchedule`).
+        :class:`repro.platform.switcher.ModeSwitchController`.
         """
         template: list[tuple[float, float, str, Mode | None]] = []
         cursor = 0.0

@@ -367,42 +367,3 @@ def min_quantum_exact(
             lo = mid
     return hi
 
-
-def min_quantum_jitter(
-    taskset: TaskSet, algorithm: str, period: float
-) -> float:
-    """Jitter-aware ``minQ`` — Eqs. 6/11 with the jittered demand.
-
-    The quadratic inversion is identical; only the point sets and demand
-    functions change (:mod:`repro.analysis.jitter`). With all jitters zero
-    this returns exactly :func:`min_quantum`, which the tests assert.
-    """
-    from repro.analysis.jitter import (
-        deadline_set_jitter,
-        edf_demand_jitter_array,
-        fp_workload_jitter_array,
-        scheduling_points_jitter,
-    )
-
-    check_positive("period", period)
-    if len(taskset) == 0:
-        return 0.0
-    alg = algorithm.upper()
-    if alg == "EDF":
-        pts = np.asarray(deadline_set_jitter(taskset), dtype=float)
-        if pts.size == 0:
-            return float("inf")  # some deadline is consumed entirely by jitter
-        w = edf_demand_jitter_array(taskset, pts)
-        return float(_f_quantum(pts, w, period).max())
-    if alg not in ("RM", "DM"):
-        raise ValueError(f"unknown algorithm {algorithm!r} (EDF, RM or DM)")
-    order = priority_order(taskset, alg)
-    worst = 0.0
-    for i, task in enumerate(order):
-        hp = order[:i]
-        pts = np.asarray(scheduling_points_jitter(task, hp), dtype=float)
-        if pts.size == 0:
-            return float("inf")
-        w = fp_workload_jitter_array(task, hp, pts)
-        worst = max(worst, float(_f_quantum(pts, w, period).min()))
-    return worst

@@ -4,9 +4,10 @@
   partition of Section 4, and the paper's reference numbers;
 * :mod:`repro.experiments.figure4` — the Figure 4 series and points 1–5;
 * :mod:`repro.experiments.table2` — the three Table 2 rows;
-* :mod:`repro.experiments.ablations` — the extra studies indexed in
-  DESIGN.md (exact supply vs linear bound, EDF vs RM, partitioning
-  heuristics, overhead sensitivity);
+* :mod:`repro.experiments.ablations` — the extra studies (exact supply vs
+  linear bound, EDF vs RM, partitioning heuristics, overhead sensitivity,
+  slot splitting), listed under "Registered experiments" in
+  ``docs/campaigns.md``;
 * :mod:`repro.experiments.weighted` — the weighted-schedulability sweep
   over the generator parameter space, streamed through the aggregation
   layer (:mod:`repro.runner.aggregate`);

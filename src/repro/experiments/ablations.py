@@ -1,4 +1,4 @@
-"""Ablation studies indexed in DESIGN.md.
+"""Ablation studies: the ``ablate-*`` points of the ``ablations`` preset.
 
 Each function returns plain data (dataclasses / dicts) consumed by the
 benchmark harness and tests:

@@ -17,13 +17,6 @@ from repro.model.serialization import (
 )
 from repro.model.task import MODE_ORDER, Mode, Task
 from repro.model.taskset import TaskSet
-from repro.model.transformations import (
-    implicit_deadlines,
-    merge_tasksets,
-    scale_periods,
-    scale_wcets,
-    with_mode,
-)
 
 __all__ = [
     "MODE_ORDER",
@@ -39,9 +32,4 @@ __all__ = [
     "taskset_from_dict",
     "taskset_to_json",
     "taskset_from_json",
-    "scale_periods",
-    "scale_wcets",
-    "implicit_deadlines",
-    "merge_tasksets",
-    "with_mode",
 ]

@@ -17,32 +17,37 @@ _SCHEMA_VERSION = 1
 
 
 def task_to_dict(task: Task) -> dict[str, Any]:
-    """Serialize a task to a plain dict (jitter included only when set)."""
-    out = {
+    """Serialize a task to a plain dict."""
+    return {
         "name": task.name,
         "wcet": task.wcet,
         "period": task.period,
         "deadline": task.deadline,
         "mode": task.mode.value,
     }
-    if task.jitter:
-        out["jitter"] = task.jitter
-    return out
 
 
 def task_from_dict(data: Mapping[str, Any]) -> Task:
-    """Deserialize a task from :func:`task_to_dict` output."""
+    """Deserialize a task from :func:`task_to_dict` output.
+
+    A nonzero ``"jitter"`` is rejected: no analysis accounts for release
+    jitter, so accepting it would report a guarantee that does not hold.
+    """
     try:
         mode = Mode(data.get("mode", "NF"))
     except ValueError as exc:
         raise ValueError(f"unknown mode {data.get('mode')!r}") from exc
+    if data.get("jitter", 0):
+        raise ValueError(
+            f"task {data.get('name')!r}: release jitter "
+            f"{data['jitter']!r} is not supported (only 0)"
+        )
     return Task(
         name=data["name"],
         wcet=data["wcet"],
         period=data["period"],
         deadline=data.get("deadline"),
         mode=mode,
-        jitter=data.get("jitter", 0.0),
     )
 
 

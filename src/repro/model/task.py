@@ -69,13 +69,9 @@ class Task:
         assumed by the paper's analysis).
     mode:
         Required operating mode; defaults to :attr:`Mode.NF`.
-    jitter:
-        Release jitter ``J_i >= 0``: the actual release of a job may lag its
-        nominal arrival by up to ``J_i``. The paper notes its formulation
-        "also applies to task sets with static offset and jitter"; the
-        jitter-aware analysis lives in :mod:`repro.analysis.jitter`. A task
-        with ``J_i > D_i - C_i`` is constructible but can never be
-        guaranteed (the analysis reports it as unschedulable).
+
+    The model has no release jitter: the analysis (Eqs. 5, 9), ``minQ``
+    and the simulator release every job at its arrival.
     """
 
     name: str
@@ -83,7 +79,6 @@ class Task:
     period: float
     deadline: float = field(default=None)  # type: ignore[assignment]
     mode: Mode = Mode.NF
-    jitter: float = 0.0
 
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name:
@@ -105,16 +100,11 @@ class Task:
                 f"task {self.name}: deadline ({self.deadline}) must not exceed "
                 f"period ({self.period}) — the analysis assumes constrained deadlines"
             )
-        if not isinstance(self.jitter, (int, float)) or isinstance(self.jitter, bool):
-            raise TypeError(f"jitter must be a number: got {self.jitter!r}")
-        if self.jitter < 0:
-            raise ValueError(f"task {self.name}: jitter must be >= 0: got {self.jitter}")
         # Normalise numeric fields to float so hashing/equality are stable
         # regardless of whether ints or floats were passed in.
         object.__setattr__(self, "wcet", float(self.wcet))
         object.__setattr__(self, "period", float(self.period))
         object.__setattr__(self, "deadline", float(self.deadline))
-        object.__setattr__(self, "jitter", float(self.jitter))
 
     @property
     def utilization(self) -> float:
@@ -139,12 +129,10 @@ class Task:
             "period": self.period,
             "deadline": self.deadline,
             "mode": self.mode,
-            "jitter": self.jitter,
         }
         kwargs.update(changes)
         return Task(**kwargs)
 
     def __repr__(self) -> str:
         dl = "" if self.implicit_deadline else f", D={self.deadline:g}"
-        jt = "" if self.jitter == 0.0 else f", J={self.jitter:g}"
-        return f"Task({self.name}: C={self.wcet:g}, T={self.period:g}{dl}{jt}, {self.mode})"
+        return f"Task({self.name}: C={self.wcet:g}, T={self.period:g}{dl}, {self.mode})"

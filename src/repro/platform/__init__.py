@@ -16,7 +16,7 @@ the core grouping — is modelled at the level the paper's scheme needs:
 Cycle-level lock-step execution is *not* modelled: every property the paper
 claims depends only on slot timing and on the checker's per-mode outcome for
 a single transient fault (mask / silence / corrupt), which this model
-captures exactly. See DESIGN.md §3.3.
+captures exactly.
 """
 
 from repro.platform.hardware import Checker, Core, FaultEffect, LockstepChannel

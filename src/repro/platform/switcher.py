@@ -64,9 +64,8 @@ class ModeSwitchController:
     Parameters
     ----------
     schedule:
-        Any object exposing ``period`` and ``cycle_template()`` (the classic
-        :class:`~repro.core.config.SlotSchedule`, or the multi-quantum
-        :class:`~repro.core.multislot.SplitSchedule`).
+        Any object exposing ``period`` and ``cycle_template()``, such as
+        :class:`~repro.core.config.SlotSchedule`.
     """
 
     def __init__(self, schedule: SlotSchedule):

@@ -193,7 +193,7 @@ def figure4_point(params: Mapping[str, Any], seed: np.random.SeedSequence) -> di
     return {"value": value}
 
 
-# -- ablations (DESIGN.md index) ----------------------------------------------
+# -- ablations -----------------------------------------------------------------
 
 
 @experiment("ablate-minq-gap")

@@ -25,12 +25,6 @@ Built bottom-up for this repository (no external simulator):
   guarantee).
 """
 
-from repro.sim.metrics import (
-    mode_service,
-    response_statistics,
-    summarize,
-    time_accounting,
-)
 from repro.sim.events import Event, EventKind, EventQueue
 from repro.sim.multicore import MulticoreResult, MulticoreSim
 from repro.sim.online import OnlineArrival, OnlineResult, OnlineSim
@@ -60,8 +54,4 @@ __all__ = [
     "validate_design",
     "ValidationReport",
     "measured_mode_supply",
-    "response_statistics",
-    "mode_service",
-    "time_accounting",
-    "summarize",
 ]

@@ -9,26 +9,20 @@ package implements:
 * :class:`LinearSupply` — the bounded-delay lower bound
   ``Z'(t) = max(0, α (t − Δ))`` (Eq. 3), with ``α = Q̃/P``, ``Δ = P − Q̃``
   (Eq. 2);
-* :class:`EDPSupply` / :class:`PeriodicServerSupply` — the explicit-deadline
-  periodic and classic periodic *server* resource models (floating budget;
-  blackout ``2(P−Q̃)``), for comparison with the paper's fixed-slot model;
 * :class:`SlotLayoutSupply` — exact supply of an arbitrary static multi-slot
   layout (the paper's future-work item: the same mode served by more than
   one quantum per period);
 * :class:`DedicatedSupply` — a full processor (``Z(t) = t``);
 * :class:`MeasuredSupply` — empirical supply extracted from simulator
-  availability traces, for analysis/simulation cross-validation;
-* comparison helpers (:func:`dominates`, :func:`equivalent_on`).
+  availability traces, for analysis/simulation cross-validation.
 """
 
 from repro.supply.base import SupplyFunction
 from repro.supply.dedicated import DedicatedSupply, NullSupply
-from repro.supply.edp import EDPSupply, PeriodicServerSupply
 from repro.supply.linear import LinearSupply
 from repro.supply.measured import MeasuredSupply, availability_to_supply
 from repro.supply.periodic import PeriodicSlotSupply
 from repro.supply.slots import SlotLayoutSupply
-from repro.supply.algebra import dominates, equivalent_on, linear_bound_of
 
 __all__ = [
     "SupplyFunction",
@@ -36,12 +30,7 @@ __all__ = [
     "NullSupply",
     "LinearSupply",
     "PeriodicSlotSupply",
-    "EDPSupply",
-    "PeriodicServerSupply",
     "SlotLayoutSupply",
     "MeasuredSupply",
     "availability_to_supply",
-    "dominates",
-    "equivalent_on",
-    "linear_bound_of",
 ]

@@ -14,9 +14,9 @@ repeating. Lemma 1 (from Lipari & Bini 2004) gives:
     \\end{cases}
     \\qquad j = \\lfloor t/P \\rfloor
 
-Note this is *not* the periodic resource model of Shin & Lee (which allows
-the budget to float inside the period and therefore has a ``2(P−Q̃)``
-blackout); see :class:`repro.supply.edp.PeriodicServerSupply` for that model.
+Note this is *not* the periodic resource model of Shin & Lee, which lets
+the budget float inside the period and therefore has a ``2(P−Q̃)``
+blackout.
 """
 
 from __future__ import annotations

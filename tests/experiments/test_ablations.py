@@ -1,7 +1,10 @@
 """Ablation study tests."""
 
+import numpy as np
 import pytest
 
+from repro.analysis import edf_schedulable_supply
+from repro.core import FeasibleRegion
 from repro.experiments.ablations import (
     edf_vs_rm_regions,
     exact_vs_linear_gap,
@@ -9,15 +12,21 @@ from repro.experiments.ablations import (
     partitioning_comparison,
     slot_splitting_gain,
 )
+from repro.generators import generate_mixed_taskset
+from repro.model import Task, TaskSet
+from repro.partition import PartitionError, partition_by_modes
+from repro.supply.slots import evenly_split_slots
 
 
 class TestExactVsLinear:
     def test_linear_always_upper_bounds_exact(self):
-        rows = exact_vs_linear_gap(periods=(1.0, 2.0))
+        rows = exact_vs_linear_gap(periods=(0.5, 1.0, 2.0, 2.966))
         assert rows
         for r in rows:
             assert r.minq_linear >= r.minq_exact - 1e-6
             assert r.gap >= -1e-6
+        # The bound is not tight: it gives quantum away somewhere.
+        assert any(r.gap > 1e-4 for r in rows)
 
     def test_gap_ratio_nonnegative(self):
         for r in exact_vs_linear_gap(periods=(1.0,)):
@@ -30,6 +39,26 @@ class TestEdfVsRm:
         assert edf.algorithm == "EDF" and rm.algorithm == "RM"
         assert edf.max_period_zero_overhead > rm.max_period_zero_overhead
         assert edf.max_admissible_overhead > rm.max_admissible_overhead
+        # Figure 4 points 1 and 2.
+        ratio = edf.max_period_zero_overhead / rm.max_period_zero_overhead
+        assert ratio == pytest.approx(3.176 / 2.381, abs=0.01)
+
+    def test_edf_never_loses_on_random_workloads(self):
+        ratios = []
+        for seed in range(12):
+            ts = generate_mixed_taskset(
+                9, 1.1, np.random.default_rng(seed), period_low=10,
+                period_high=60, period_granularity=5.0,
+            )
+            try:
+                part = partition_by_modes(ts, admission="utilization")
+                edf = FeasibleRegion(part, "EDF").max_feasible_period(0.0)
+                rm = FeasibleRegion(part, "RM").max_feasible_period(0.0)
+            except (PartitionError, ValueError):
+                continue  # no feasible period under RM (or at all)
+            ratios.append(edf / rm)
+        assert ratios
+        assert min(ratios) >= 1.0 - 1e-9
 
 
 class TestPartitioning:
@@ -54,6 +83,7 @@ class TestOverheadSensitivity:
         periods = [p.max_period for p in feasible]
         assert periods == sorted(periods, reverse=True)
         assert pts[-1].max_period is None  # 0.3 > max admissible 0.201
+        assert pts[0].max_period == pytest.approx(3.176, abs=2e-3)  # Figure 4 point 1
 
 
 class TestSlotSplitting:
@@ -67,6 +97,16 @@ class TestSlotSplitting:
     def test_supply_never_degrades(self):
         rows = slot_splitting_gain(period=3.0, budget=1.0, pieces_list=(1, 3))
         assert rows[1].supply_at_half_period >= rows[0].supply_at_half_period
+
+    def test_only_split_slots_host_a_short_deadline_task(self):
+        tight = TaskSet([Task("tight", wcet=0.2, period=3.0, deadline=1.2)])
+
+        def schedulable(pieces):
+            supply = evenly_split_slots(3.0, 1.0, pieces)
+            return edf_schedulable_supply(tight, supply).schedulable
+
+        assert not schedulable(1)  # one slot: delay 2.0 > D - C
+        assert schedulable(4)  # four slots: delay 0.5
 
 
 class TestAblationSummary:

@@ -83,10 +83,10 @@ class TestGeneratedPipelines:
         )
         # NF alone nearly saturates 4 processors; adding mandatory FT load
         # cannot fit — the pipeline must fail loudly, not mis-design.
-        from repro.model import Task, TaskSet, merge_tasksets
+        from repro.model import Task, TaskSet
 
         ft = TaskSet([Task("critical", 5, 10, mode=Mode.FT)])
-        full = merge_tasksets([ts, ft])
+        full = TaskSet([*ts, *ft])
         with pytest.raises((DesignError, PartitionError)):
             part = partition_by_modes(full, admission="utilization")
             design_platform(part, "EDF", Overheads.uniform(0.02))

@@ -58,3 +58,31 @@ class TestTaskSetRoundTrip:
     def test_json_is_stable_text(self):
         ts = TaskSet([Task("a", 1, 4)])
         assert taskset_to_json(ts) == taskset_to_json(ts)
+
+
+
+class TestJitter:
+    """No analysis accounts for release jitter, so a set that declares it
+    must not load and then be designed as if it had none."""
+
+    @staticmethod
+    def _data(**extra):
+        return {"schema": 1, "tasks": [
+            {"name": "a", "wcet": 4, "period": 10, "mode": "FT", **extra},
+            {"name": "b", "wcet": 2, "period": 20, "mode": "FS"},
+            {"name": "c", "wcet": 3, "period": 15, "mode": "NF"},
+        ]}
+
+    def test_nonzero_jitter_rejected_naming_the_task(self):
+        with pytest.raises(ValueError, match="task 'a'.*jitter"):
+            taskset_from_dict(self._data(jitter=7))
+
+    def test_absent_or_zero_jitter_loads(self):
+        expected = TaskSet([
+            Task("a", 4, 10, mode=Mode.FT),
+            Task("b", 2, 20, mode=Mode.FS),
+            Task("c", 3, 15, mode=Mode.NF),
+        ])
+        assert taskset_from_dict(self._data()) == expected
+        assert taskset_from_dict(self._data(jitter=0)) == expected
+        assert taskset_from_dict(self._data(jitter=0.0)) == expected

@@ -11,12 +11,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.supply import (
-    EDPSupply,
-    LinearSupply,
-    PeriodicSlotSupply,
-    SlotLayoutSupply,
-)
+from repro.supply import LinearSupply, PeriodicSlotSupply, SlotLayoutSupply
 
 periods = st.floats(min_value=0.1, max_value=50.0, allow_nan=False)
 fractions = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -81,18 +76,6 @@ def test_periodic_inverse_roundtrip(p, f, w):
     assert z.supply(t) >= w - 1e-6
     if t > 1e-6:
         assert z.supply(max(t - 1e-4 * max(1.0, t), 0.0)) < w + 1e-6
-
-
-@given(periods, fractions, fractions, times)
-@settings(max_examples=150)
-def test_edp_dominated_by_slot(p, f, d, t):
-    # A floating EDP budget never beats the statically pinned slot.
-    budget = p * f * max(d, 0.1)
-    deadline = p * max(d, 0.1)
-    budget = min(budget, deadline)
-    edp = EDPSupply(p, budget, deadline)
-    slot = PeriodicSlotSupply(p, budget)
-    assert edp.supply(t) <= slot.supply(t) + 1e-7
 
 
 @given(

@@ -15,7 +15,7 @@ tolerance: job state, remaining work and completion time, slices, events.
 import numpy as np
 import pytest
 
-from repro.core import Overheads, SlotSchedule, SplitSchedule, design_platform
+from repro.core import Overheads, SlotSchedule, design_platform
 from repro.dependability import scenario_from_params
 from repro.faults import FaultOutcome
 from repro.generators import generate_mixed_taskset
@@ -433,13 +433,35 @@ class TestMergeWindowsMatchesReference:
             assert merge_windows(windows, 10.0) == reference_merge_windows(windows, 10.0)
 
 
-def _split_schedule():
-    return SplitSchedule(
-        6.0,
-        {Mode.FT: 0.9, Mode.FS: 1.5, Mode.NF: 1.2},
-        {Mode.FT: 1, Mode.FS: 3, Mode.NF: 2},
-        Overheads(0.1, 0.05, 0.1),
-    )
+class _SplitTemplate:
+    """A schedule serving a mode in several slots per cycle.
+
+    ``P = 6`` with quanta FT 0.9, FS 1.5 and NF 1.2 and overheads 0.1,
+    0.05 and 0.1, FS split into three evenly spread slots and NF into two.
+    The bounds are accumulated sums, so some edges sit an ulp off the
+    round values (``3.4499999999999997``).
+    """
+
+    period = 6.0
+
+    def cycle_template(self):
+        return [
+            (0.0, 0.5, "usable", Mode.FS),
+            (0.5, 0.55, "overhead", Mode.FS),
+            (0.55, 1.15, "usable", Mode.NF),
+            (1.15, 1.25, "overhead", Mode.NF),
+            (1.25, 2.0, "idle", None),
+            (2.0, 2.5, "usable", Mode.FS),
+            (2.5, 2.55, "overhead", Mode.FS),
+            (2.55, 3.4499999999999997, "usable", Mode.FT),
+            (3.4499999999999997, 3.55, "overhead", Mode.FT),
+            (3.55, 4.0, "idle", None),
+            (4.0, 4.5, "usable", Mode.FS),
+            (4.5, 4.55, "overhead", Mode.FS),
+            (4.55, 5.1499999999999995, "usable", Mode.NF),
+            (5.1499999999999995, 5.249999999999999, "overhead", Mode.NF),
+            (5.249999999999999, 6.0, "idle", None),
+        ]
 
 
 class _UnsortedTemplate:
@@ -464,7 +486,7 @@ class TestUsableWindowsMatchSegments:
             SlotSchedule(3.0, {Mode.FT: 0.9, Mode.FS: 1.2, Mode.NF: 0.6}, Overheads(0.1, 0.1, 0.1)),
             SlotSchedule(1 / 3, {Mode.FT: 0.1, Mode.NF: 0.2}, Overheads(0.01, 0.0, 0.02)),
             SlotSchedule(0.7, {Mode.FS: 0.7}),
-            _split_schedule(),
+            _SplitTemplate(),
             _UnsortedTemplate(),
         ],
         ids=["slot", "slot-third", "slot-fs-only", "split", "unsorted"],
@@ -484,7 +506,7 @@ class TestUsableWindowsMatchSegments:
                 ), (horizon, mode)
 
     def test_rejects_nonpositive_horizon(self):
-        ctrl = ModeSwitchController(_split_schedule())
+        ctrl = ModeSwitchController(_SplitTemplate())
         with pytest.raises(ValueError):
             ctrl.usable_windows(Mode.FT, 0.0)
 

@@ -139,6 +139,11 @@ class TestHorizonDefaults:
     def test_default_horizon_covers_hyperperiod(self, sim, paper_ts):
         assert sim.default_horizon() >= paper_ts.hyperperiod()
 
+    def test_simulator_rejects_zero_horizon(self, sim):
+        # A run must cover positive time.
+        with pytest.raises(ValueError, match="horizon"):
+            sim.run(horizon=0.0)
+
 
 class TestClassifyFaultGeneralizedPlatforms:
     """classify_fault beyond the hardcoded 4-core chip (2/5/6/8 cores)."""

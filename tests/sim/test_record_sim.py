@@ -17,7 +17,7 @@ import heapq
 import numpy as np
 import pytest
 
-from repro.core import Overheads, SlotSchedule, SplitSchedule, design_platform
+from repro.core import Overheads, SlotSchedule, design_platform
 from repro.dependability import scenario_from_params
 from repro.experiments.paper import paper_partition
 from repro.faults import Fault, FaultOutcome, FaultRecord
@@ -36,6 +36,7 @@ from repro.sim.uniproc import JobColumns, UniprocResult, subtract_blackouts
 from repro.util import EPS
 
 from .test_hot_path_equivalence import (
+    _SplitTemplate,
     _UnsortedTemplate,
     reference_select,
     reference_simulate_uniproc,
@@ -231,19 +232,10 @@ def _edge_faults(schedule, core_count, cycles):
     return faults
 
 
-def _split_schedule():
-    return SplitSchedule(
-        6.0,
-        {Mode.FT: 0.9, Mode.FS: 1.5, Mode.NF: 1.2},
-        {Mode.FT: 1, Mode.FS: 3, Mode.NF: 2},
-        Overheads(0.1, 0.05, 0.1),
-    )
-
-
 SCHEDULES = {
     "slot": SlotSchedule(3.0, {Mode.FT: 0.9, Mode.FS: 1.2, Mode.NF: 0.6}, Overheads(0.1, 0.1, 0.1)),
     "slot-third": SlotSchedule(1 / 3, {Mode.FT: 0.1, Mode.FS: 0.1, Mode.NF: 0.1}, Overheads(0.01, 0.0, 0.02)),
-    "split": _split_schedule(),
+    "split": _SplitTemplate(),
     "unsorted": _UnsortedTemplate(),
 }
 

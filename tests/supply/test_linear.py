@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.supply import LinearSupply
+from repro.supply import LinearSupply, PeriodicSlotSupply
 
 
 class TestLinear:
@@ -26,6 +26,15 @@ class TestLinear:
         z = LinearSupply.from_slot(4.0, 1.5)
         assert z.alpha == pytest.approx(1.5 / 4.0)
         assert z.delta == pytest.approx(2.5)
+
+    def test_from_slot_touches_lemma1_at_ramp_starts(self):
+        # Figure 3: Z'((j+1)P - Q) = jQ = Z(t) there, so Eq. 3 is tight.
+        P, Q = 2.966, 0.820  # the Table 2(b) FT slot
+        exact = PeriodicSlotSupply(P, Q)
+        linear = LinearSupply.from_slot(P, Q)
+        for j in range(3):
+            t = (j + 1) * P - Q
+            assert linear.supply(t) == pytest.approx(exact.supply(t), abs=1e-9)
 
     def test_from_slot_validates(self):
         with pytest.raises(ValueError):
