@@ -1,12 +1,11 @@
 """Fast-kernel analysis throughput: integer kernels vs the float path.
 
 The integer kernels (``repro.analysis.kernels``) rescale a task set to an
-exact integer timebase and run demand/QPA/minQ analysis in vectorised int64
+exact integer timebase and run demand and minQ analysis in vectorised int64
 arithmetic instead of scalar float loops. This script measures the analysis
 throughput they buy on weighted-preset-shaped task sets (mixed modes,
 hyperperiod-limited periods): per set one full pass of
 
-* ``qpa_schedulable`` (dedicated EDF test),
 * ``edf_schedulable_dedicated`` (Theorem-2 walk over the deadline set),
 * ``QuantumCurve(ts, "EDF").evaluate`` over a 4001-point period grid
   (the Figure-4 style minQ sweep),
@@ -37,7 +36,7 @@ import time
 
 import numpy as np
 
-from repro.analysis import edf_schedulable_dedicated, kernels, qpa_schedulable
+from repro.analysis import edf_schedulable_dedicated, kernels
 from repro.core import QuantumCurve
 from repro.experiments.weighted import weighted_aggregator, weighted_specs
 from repro.generators import generate_mixed_taskset
@@ -78,10 +77,9 @@ def analysis_pass(tasksets) -> tuple[float, list[tuple]]:
     results = []
     start = time.perf_counter()
     for ts in tasksets:
-        qpa = qpa_schedulable(ts)
         edf = edf_schedulable_dedicated(ts)
         curve = np.asarray(QuantumCurve(ts, "EDF").evaluate(PERIOD_GRID))
-        results.append((qpa, edf.schedulable, edf.points_checked, curve.tobytes()))
+        results.append((edf.schedulable, edf.points_checked, curve.tobytes()))
     return time.perf_counter() - start, results
 
 

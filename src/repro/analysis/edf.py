@@ -6,9 +6,8 @@ Implements Eq. 9 of the paper — the EDF demand
           \\Big\\rfloor,\\ 0\\Big)\\, C_i
 
 (the classic processor demand bound function ``dbf``), the deadline set
-``dlSet`` over which Theorem 2 quantifies, the supply-aware EDF test, its
-dedicated-processor specialisation, and Zhang & Burns' Quick Processor-demand
-Analysis (QPA) as a faster dedicated test.
+``dlSet`` over which Theorem 2 quantifies, the supply-aware EDF test and
+its dedicated-processor specialisation.
 
 Every entry point routes through the integer fast kernels of
 :mod:`repro.analysis.kernels` when the task set rescales onto an exact
@@ -16,8 +15,8 @@ integer time base (no ``EPS`` anywhere on that path), and falls back to the
 float implementation otherwise. The float paths share one tolerance
 discipline: job counts snap via :func:`~repro.util.fuzzy_floor` /
 :func:`~repro.util.fuzzy_floor_array` (the same rule scalar and vector),
-and horizon boundaries use the :func:`~repro.util.boundary_le` /
-:func:`~repro.util.boundary_lt` band rule.
+and the horizon boundary uses the :func:`~repro.util.boundary_le` band
+rule.
 """
 
 from __future__ import annotations
@@ -32,9 +31,7 @@ from repro.model import TaskSet
 from repro.supply import DedicatedSupply, SupplyFunction
 from repro.util import (
     EPS,
-    approx_le,
     boundary_le,
-    boundary_lt,
     check_nonneg,
     check_positive,
     fuzzy_floor,
@@ -169,16 +166,6 @@ def edf_demand(
     return pts, demand_bound_array(taskset, pts)
 
 
-def edf_utilization_test(taskset: TaskSet, capacity: float = 1.0) -> bool:
-    """Necessary-and-sufficient EDF test for implicit deadlines: ``U <= cap``."""
-    if not taskset.all_implicit_deadline:
-        raise ValueError(
-            "the EDF utilization test is exact only for implicit deadlines; "
-            "use edf_schedulable_dedicated for constrained deadlines"
-        )
-    return approx_le(taskset.utilization, capacity)
-
-
 def _check_horizon(taskset: TaskSet, supply: SupplyFunction) -> float:
     """Safe upper limit for demand points in the supply-aware EDF test.
 
@@ -254,96 +241,3 @@ def edf_schedulable_dedicated(
             supply_at_violation=1.0,
         )
     return edf_schedulable_supply(taskset, DedicatedSupply(), horizon=horizon)
-
-
-# -- QPA ------------------------------------------------------------------------
-
-
-def synchronous_busy_period(taskset: TaskSet, *, max_iterations: int = 100_000) -> float:
-    """Length of the synchronous processor busy period.
-
-    Fixed point of ``w = sum_i ceil(w/T_i) C_i``; requires ``U <= 1``
-    (diverges otherwise, which raises). Both paths iterate to the *exact*
-    fixed point: the integer kernel in rational arithmetic, the float
-    fallback until ``w_next == w`` bitwise — the former tolerance check
-    ``|w_next - w| <= EPS*max(1, w)`` could declare convergence an
-    iteration early for large ``w``, under-reporting the QPA start point.
-    """
-    if len(taskset) == 0:
-        return 0.0
-    if kernels.fast_kernels_enabled():
-        sts = kernels.rescale(taskset.tasks)
-        # Exact U > 1 means the rational iteration truly diverges, yet the
-        # float fallback may still see U <= 1 + EPS and converge (rounding).
-        # Keep verdict parity by routing that sliver to the fallback.
-        fast = sts is not None and kernels.utilization_cmp(sts) <= 0
-        kernels.note_selection(fast)
-        if fast:
-            return float(
-                kernels.busy_period_exact(sts, max_iterations=max_iterations)
-            )
-    if taskset.utilization > 1.0 + 1e-9:
-        raise ValueError("busy period diverges for U > 1")
-    w = float(sum(t.wcet for t in taskset))
-    for _ in range(max_iterations):
-        w_next = float(
-            sum(np.ceil(w / t.period - EPS) * t.wcet for t in taskset)
-        )
-        if w_next == w:
-            return w
-        w = w_next
-    raise RuntimeError("busy period iteration did not converge")
-
-
-def qpa_schedulable(taskset: TaskSet) -> bool:
-    """Zhang & Burns Quick Processor-demand Analysis (dedicated EDF test).
-
-    Equivalent to the full processor-demand criterion but typically examines
-    only a handful of points: starting just below the busy-period bound it
-    walks ``t ← h(t)`` (or the next lower deadline) until the demand drops
-    below the smallest deadline (schedulable) or exceeds ``t``
-    (unschedulable). Runs entirely in exact integer arithmetic when the
-    task set rescales (:func:`repro.analysis.kernels.qpa_exact`).
-    """
-    if len(taskset) == 0:
-        return True
-    if kernels.fast_kernels_enabled():
-        sts = kernels.rescale(taskset.tasks)
-        kernels.note_selection(sts is not None)
-        if sts is not None:
-            # The overload / at-capacity gates stay on float utilization with
-            # the same tolerances as the fallback below: generated sets meet
-            # U == 1 only up to float rounding, and deciding the gate exactly
-            # would flip verdicts on sets the fallback accepts.
-            u = taskset.utilization
-            if u > 1.0 + 1e-9:
-                return False
-            return kernels.qpa_exact(sts, at_capacity=u >= 1.0 - 1e-12)
-    if taskset.utilization > 1.0 + 1e-9:
-        return False
-    if taskset.utilization >= 1.0 - 1e-12:
-        limit = taskset.hyperperiod()
-    else:
-        limit = synchronous_busy_period(taskset)
-    d_min = min(t.deadline for t in taskset)
-    deadlines = [d for d in deadline_set(taskset, limit) if boundary_lt(d, limit)]
-    if not deadlines:
-        return True
-
-    def h(t: float) -> float:
-        return demand_bound_function(taskset, t)
-
-    t = deadlines[-1]
-    while True:
-        ht = h(t)
-        if ht > t + EPS:
-            return False
-        if ht <= d_min + EPS:
-            return h(d_min) <= d_min + EPS
-        if ht < t - EPS:
-            t = ht
-        else:
-            lower = [d for d in deadlines if boundary_lt(d, t)]
-            if not lower:
-                return True
-            t = lower[-1]

@@ -21,7 +21,7 @@ from repro.analysis.results import FPAnalysis, TaskVerdict
 from repro.analysis.workload import fp_workload, fp_workload_array
 from repro.model import Task, TaskSet
 from repro.supply import DedicatedSupply, SupplyFunction
-from repro.util import EPS, approx_le, feq
+from repro.util import EPS, feq
 
 
 def _resolve_order(
@@ -133,38 +133,3 @@ def fp_response_time_supply(
     raise RuntimeError(
         f"RTA did not converge for {task.name} after {max_iterations} iterations"
     )
-
-
-# -- utilization bounds ---------------------------------------------------------
-
-
-def liu_layland_bound(n: int) -> float:
-    """Liu & Layland RM utilization bound ``n (2^{1/n} − 1)``."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1: got {n}")
-    return n * (2.0 ** (1.0 / n) - 1.0)
-
-
-def liu_layland_test(taskset: TaskSet) -> bool:
-    """Sufficient RM test: ``U <= n(2^{1/n}−1)`` (implicit deadlines only)."""
-    if len(taskset) == 0:
-        return True
-    if not taskset.all_implicit_deadline:
-        raise ValueError("Liu-Layland bound requires implicit deadlines")
-    return approx_le(taskset.utilization, liu_layland_bound(len(taskset)))
-
-
-def hyperbolic_bound_test(taskset: TaskSet) -> bool:
-    """Sufficient RM test of Bini et al.: ``prod (U_i + 1) <= 2``.
-
-    Strictly dominates Liu–Layland (accepts every set Liu–Layland accepts).
-    Implicit deadlines only.
-    """
-    if len(taskset) == 0:
-        return True
-    if not taskset.all_implicit_deadline:
-        raise ValueError("hyperbolic bound requires implicit deadlines")
-    prod = 1.0
-    for t in taskset:
-        prod *= t.utilization + 1.0
-    return approx_le(prod, 2.0)

@@ -44,13 +44,6 @@ grid until one final conversion to float; the fixed-period ``minQ`` of
 :mod:`repro.core.minq` takes the unsorted :func:`job_deadlines`, since a
 max needs neither order nor uniqueness.
 
-**Scalar kernels** — QPA and the synchronous busy period in arbitrary-
-precision Python integers: WCETs are exact dyadic rationals too, so the
-busy-period fixed point and the QPA walk are computed without any rounding
-at all. (WCET denominators of generated task sets are large — up to
-``2**52`` — which is why the *vector* demand path keeps float WCETs: the
-scalar walks touch few points, the vector path touches the whole dlSet.)
-
 **Hull pruning** — the ``minQ`` curves evaluate ``f_P(t, W)`` over every
 (point, demand) pair for thousands of candidate periods. For fixed ``q``
 and ``P`` the superlevel set ``{f_P >= q}`` is the half-plane above a line
@@ -75,9 +68,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
@@ -186,9 +177,7 @@ class ScaledTaskSet:
 
     ``periods``/``deadlines`` are ``int64`` arrays in task-set order;
     ``wcets`` keeps the original float WCETs (for order-preserving float
-    demand accumulation) while ``wcet_nums``/``wcet_den`` hold them as exact
-    integers over a common power-of-two denominator (for the scalar exact
-    walks). All time values are ``value * scale``.
+    demand accumulation). All time values are ``value * scale``.
     """
 
     tasks: tuple[Task, ...]
@@ -196,8 +185,6 @@ class ScaledTaskSet:
     periods: np.ndarray
     deadlines: np.ndarray
     wcets: np.ndarray
-    wcet_nums: tuple[int, ...]
-    wcet_den: int
     hyperperiod: int
 
     @property
@@ -231,19 +218,12 @@ def _rescale_cached(tasks: tuple[Task, ...]) -> ScaledTaskSet | None:
             return None
     if hyper + max(periods) > MAX_SCALED:
         return None
-    wcet_ratios = [task.wcet.as_integer_ratio() for task in tasks]
-    wcet_den = 1
-    for _, den in wcet_ratios:
-        wcet_den = wcet_den * den // math.gcd(wcet_den, den)
-    wcet_nums = tuple(num * (wcet_den // den) for num, den in wcet_ratios)
     return ScaledTaskSet(
         tasks=tasks,
         scale=scale,
         periods=np.asarray(periods, dtype=np.int64),
         deadlines=np.asarray(deadlines, dtype=np.int64),
         wcets=np.asarray([task.wcet for task in tasks], dtype=np.float64),
-        wcet_nums=wcet_nums,
-        wcet_den=wcet_den,
         hyperperiod=hyper,
     )
 
@@ -266,8 +246,7 @@ def extend(sts: ScaledTaskSet, task: Task) -> ScaledTaskSet | None:
     Equal to the rescale field by field, and ``None`` exactly when it is:
     the scale and the hyperperiod are lcms, and the partial lcms only grow,
     so checking the final values applies :func:`rescale`'s bounds. When
-    the scale grows by ``r``, every scaled time of ``sts`` grows by ``r``;
-    when the WCET denominator grows, so do the WCET numerators.
+    the scale grows by ``r``, every scaled time of ``sts`` grows by ``r``.
     """
     p_num, p_den = task.period.as_integer_ratio()
     d_num, d_den = task.deadline.as_integer_ratio()
@@ -293,18 +272,12 @@ def extend(sts: ScaledTaskSet, task: Task) -> ScaledTaskSet | None:
     periods[n] = period
     deadlines[n] = d_num * (scale // d_den)
     wcets[n] = task.wcet
-    c_num, c_den = task.wcet.as_integer_ratio()
-    wcet_den = math.lcm(sts.wcet_den, c_den)
-    grow = wcet_den // sts.wcet_den
-    wcet_nums = sts.wcet_nums if grow == 1 else tuple(c * grow for c in sts.wcet_nums)
     return ScaledTaskSet(
         tasks=sts.tasks + (task,),
         scale=scale,
         periods=periods,
         deadlines=deadlines,
         wcets=wcets,
-        wcet_nums=wcet_nums + (c_num * (wcet_den // c_den),),
-        wcet_den=wcet_den,
         hyperperiod=hyper,
     )
 
@@ -451,123 +424,6 @@ def scheduling_points_scaled(sts: ScaledTaskSet) -> list[int]:
     return sorted(points)
 
 
-# -- scalar exact kernels ------------------------------------------------------
-
-
-def _scaled_wcet_nums(sts: ScaledTaskSet) -> list[int]:
-    """WCET numerators in *scaled* time over ``wcet_den``.
-
-    The scalar kernels mix execution amounts into the scaled time axis
-    (``w``, periods and deadlines all carry the ``scale`` factor), so the
-    WCETs must carry it too — comparing unscaled demand against scaled time
-    would be off by exactly ``scale``.
-    """
-    return [num * sts.scale for num in sts.wcet_nums]
-
-
-def utilization_cmp(sts: ScaledTaskSet) -> int:
-    """Exact sign of ``U - 1``: negative, zero or positive."""
-    h = sts.hyperperiod
-    lhs = sum(
-        num * (h // p)
-        for num, p in zip(_scaled_wcet_nums(sts), sts.periods.tolist())
-    )
-    rhs = h * sts.wcet_den
-    return (lhs > rhs) - (lhs < rhs)
-
-
-def _busy_period_num(sts: ScaledTaskSet, max_iterations: int) -> int:
-    """Busy-period numerator over ``wcet_den``, in *scaled* time units."""
-    dc = sts.wcet_den
-    # w is w_num / dc in scaled time; ceil(w / T_i) = ceil(w_num / (T_i*dc)).
-    period_dens = [p * dc for p in sts.periods.tolist()]
-    nums = _scaled_wcet_nums(sts)
-    w_num = sum(nums)
-    for _ in range(max_iterations):
-        w_next = sum(
-            -(-w_num // pden) * num
-            for num, pden in zip(nums, period_dens)
-        )
-        if w_next == w_num:
-            return w_num
-        w_num = w_next
-    raise RuntimeError("busy period iteration did not converge")
-
-
-def busy_period_exact(
-    sts: ScaledTaskSet, *, max_iterations: int = 100_000
-) -> Fraction:
-    """Synchronous busy period as an exact rational (unscaled time units).
-
-    Iterates ``w = sum_i ceil(w / T_i) C_i`` to its *exact* fixed point —
-    integer arithmetic over the common WCET denominator, so there is no
-    tolerance band that could accept a not-yet-converged iterate. Requires
-    ``U <= 1`` (checked by callers via :func:`utilization_cmp`).
-    """
-    return Fraction(
-        _busy_period_num(sts, max_iterations), sts.wcet_den * sts.scale
-    )
-
-
-def qpa_exact(sts: ScaledTaskSet, *, at_capacity: bool) -> bool:
-    """Zhang & Burns QPA in exact integer arithmetic (dedicated EDF test).
-
-    Mirrors the float walk of :func:`repro.analysis.edf.qpa_schedulable`
-    with all tolerances at exactly zero: demand values are rationals over
-    the common WCET denominator, deadlines are scaled integers, and every
-    comparison is an integer comparison.
-
-    ``at_capacity`` selects the walk's upper limit — the hyperperiod when
-    the caller's utilization test says ``U == 1``, the busy period below
-    that. The *caller* decides with the same float-tolerance rule as the
-    fallback path: whether a set counts as at-capacity is deliberately a
-    tolerance question (generated sets hit ``U = 1`` only up to float
-    rounding), so answering it exactly here would flip verdicts on sets
-    the float path accepts.
-    """
-    dc = sts.wcet_den
-    if at_capacity:
-        limit_num = sts.hyperperiod * dc  # limit = hyperperiod
-    else:
-        limit_num = _busy_period_num(sts, 100_000)
-    periods = sts.periods.tolist()
-    deadlines_rel = sts.deadlines.tolist()
-    d_min = min(deadlines_rel)
-    nums = _scaled_wcet_nums(sts)
-
-    def demand_num(t_num: int) -> int:
-        # W(t) over denominator dc, at rational t = t_num / dc (scaled time).
-        total = 0
-        for num, p, d in zip(nums, periods, deadlines_rel):
-            jobs = (t_num + (p - d) * dc) // (p * dc)
-            if jobs > 0:
-                total += jobs * num
-        return total
-
-    # Deadlines strictly below the limit: d*dc < limit_num.
-    t_max = -(-limit_num // dc) - 1  # largest integer strictly below limit
-    dl = deadline_points(sts, min(t_max, sts.hyperperiod)).tolist()
-    if not dl:
-        return True
-    d_min_num = d_min * dc
-    t_num = dl[-1] * dc
-    while True:
-        ht = demand_num(t_num)
-        if ht > t_num:
-            return False
-        if ht <= d_min_num:
-            return demand_num(d_min_num) <= d_min_num
-        if ht < t_num:
-            t_num = ht
-        else:
-            # Largest deadline strictly below t = t_num / dc.
-            threshold = -(-t_num // dc) - 1
-            idx = bisect_right(dl, threshold) - 1
-            if idx < 0:
-                return True
-            t_num = dl[idx] * dc
-
-
 # -- minQ hull pruning ---------------------------------------------------------
 
 _EPS64 = float(np.finfo(np.float64).eps)
@@ -616,7 +472,6 @@ __all__ = [
     "MAX_SCALED",
     "ScaledTaskSet",
     "binding_hull",
-    "busy_period_exact",
     "counters_delta",
     "deadline_points",
     "demand_array",
@@ -626,7 +481,6 @@ __all__ = [
     "kernel_counters",
     "kernels_forced",
     "note_selection",
-    "qpa_exact",
     "rescale",
     "reset_kernel_counters",
     "scale_horizon",
@@ -635,6 +489,5 @@ __all__ = [
     "scheduling_points_scaled",
     "set_fast_kernels",
     "to_time",
-    "utilization_cmp",
     "workload_array",
 ]

@@ -1,14 +1,11 @@
 """Priority assignment for fixed-priority scheduling.
 
-Provides the two classic static orders (rate monotonic, deadline monotonic)
-and Audsley's optimal priority assignment (OPA) for supply-aware feasibility.
+Provides the two classic static orders (rate monotonic, deadline monotonic).
 A priority order is represented as a tuple of tasks, highest priority first;
 ties are broken by task name so orders are deterministic.
 """
 
 from __future__ import annotations
-
-from typing import Callable, Sequence
 
 from repro.model import Task, TaskSet
 
@@ -39,42 +36,3 @@ def priority_order(taskset: TaskSet, policy: str) -> tuple[Task, ...]:
     if policy == "DM":
         return deadline_monotonic(taskset)
     raise ValueError(f"unknown fixed-priority policy {policy!r} (use 'RM' or 'DM')")
-
-
-def audsley_opa(
-    taskset: TaskSet,
-    feasible_at: Callable[[Task, Sequence[Task]], bool],
-) -> tuple[Task, ...] | None:
-    """Audsley's optimal priority assignment.
-
-    Parameters
-    ----------
-    taskset:
-        Tasks to order.
-    feasible_at:
-        Predicate ``feasible_at(task, higher_priority_tasks)`` telling whether
-        ``task`` meets its deadline when exactly ``higher_priority_tasks``
-        have higher priority. For OPA to be optimal the predicate must depend
-        only on the *set* of higher-priority tasks, not their relative order —
-        true for both Theorem 1 and the classic point test.
-
-    Returns
-    -------
-    A priority order (highest first) under which every task passes
-    ``feasible_at``, or ``None`` if no fixed-priority order exists.
-    """
-    remaining: list[Task] = list(taskset)
-    order_low_to_high: list[Task] = []
-    while remaining:
-        placed = False
-        # Deterministic choice: try candidates in name order.
-        for cand in sorted(remaining, key=lambda t: t.name):
-            others = [t for t in remaining if t is not cand]
-            if feasible_at(cand, others):
-                order_low_to_high.append(cand)
-                remaining.remove(cand)
-                placed = True
-                break
-        if not placed:
-            return None
-    return tuple(reversed(order_low_to_high))

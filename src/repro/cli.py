@@ -82,6 +82,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -105,9 +106,37 @@ from repro.runner.presets import preset_names
 from repro.viz import format_table, render_region
 
 
-def _load_taskset(path: str) -> TaskSet:
-    text = Path(path).read_text()
-    return taskset_from_json(text)
+def _load_taskset(args: argparse.Namespace) -> TaskSet:
+    """The command's task set; a file that cannot be read or parsed exits
+    with one line naming the command, the file and the reason."""
+    try:
+        return taskset_from_json(Path(args.taskset).read_text())
+    except OSError as exc:
+        reason = exc.strerror or str(exc)
+    except KeyError as exc:
+        reason = f"missing field {exc}"
+    except (ValueError, TypeError) as exc:
+        reason = str(exc)
+    raise SystemExit(f"{args.command}: {args.taskset}: {reason}")
+
+
+def _bounded(convert, check, bound: str):
+    """An argparse ``type=`` that rejects a converted value outside ``bound``."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not check(value):
+            raise argparse.ArgumentTypeError(f"must be {bound}: got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse's "invalid int value" wording
+    return parse
+
+
+_positive_int = _bounded(int, lambda v: v >= 1, ">= 1")
+_sweep_points = _bounded(int, lambda v: v >= 2, ">= 2")
+_positive = _bounded(float, lambda v: math.isfinite(v) and v > 0, "finite and > 0")
+_nonneg = _bounded(float, lambda v: math.isfinite(v) and v >= 0, "finite and >= 0")
 
 
 def _partition(ts: TaskSet, heuristic: str):
@@ -115,7 +144,7 @@ def _partition(ts: TaskSet, heuristic: str):
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    ts = _load_taskset(args.taskset)
+    ts = _load_taskset(args)
     print(ts.summary())
     print()
     try:
@@ -140,7 +169,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_design(args: argparse.Namespace) -> int:
-    ts = _load_taskset(args.taskset)
+    ts = _load_taskset(args)
     goal = {
         "min-overhead": MinOverheadBandwidthGoal(),
         "max-slack": MaxSlackGoal(),
@@ -178,7 +207,7 @@ def cmd_design(args: argparse.Namespace) -> int:
 
 
 def cmd_region(args: argparse.Namespace) -> int:
-    ts = _load_taskset(args.taskset)
+    ts = _load_taskset(args)
     try:
         part = _partition(ts, args.heuristic)
     except PartitionError as exc:
@@ -207,7 +236,7 @@ def cmd_region(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    ts = _load_taskset(args.taskset)
+    ts = _load_taskset(args)
     try:
         part = _partition(ts, args.heuristic)
         config = design_platform(
@@ -688,24 +717,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("design", help="derive P and the slot quanta")
     common(p)
-    p.add_argument("--otot", type=float, default=0.0, help="total switch overhead")
+    p.add_argument("--otot", type=_nonneg, default=0.0, help="total switch overhead")
     p.add_argument("--goal", default="min-overhead", choices=["min-overhead", "max-slack"])
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=cmd_design)
 
     p = sub.add_parser("region", help="feasible-period region (Figure 4 view)")
     common(p)
-    p.add_argument("--otot", type=float, default=0.0)
-    p.add_argument("--p-max", type=float, default=None)
-    p.add_argument("--n", type=int, default=301)
-    p.add_argument("--width", type=int, default=78)
+    p.add_argument("--otot", type=_nonneg, default=0.0)
+    p.add_argument("--p-max", type=_positive, default=None)
+    p.add_argument("--n", type=_sweep_points, default=301)
+    p.add_argument("--width", type=_positive_int, default=78)
     p.set_defaults(func=cmd_region)
 
     p = sub.add_parser("simulate", help="design then simulate (optional faults)")
     common(p)
-    p.add_argument("--otot", type=float, default=0.0)
-    p.add_argument("--cycles", type=int, default=100)
-    p.add_argument("--fault-rate", type=float, default=0.0)
+    p.add_argument("--otot", type=_nonneg, default=0.0)
+    p.add_argument("--cycles", type=_positive_int, default=100)
+    p.add_argument("--fault-rate", type=_nonneg, default=0.0)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_simulate)
 

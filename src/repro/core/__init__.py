@@ -23,12 +23,10 @@ from repro.core.design import (
     MinOverheadBandwidthGoal,
     design_platform,
 )
-from repro.core.integration import SystemCurve, mode_quantum_bounds, quanta_feasible
+from repro.core.integration import SystemCurve, quanta_feasible
 from repro.core.minq import (
-    MinQResult,
     QuantumCurve,
     min_quantum,
-    min_quantum_detailed,
     min_quantum_edf,
     min_quantum_exact,
     min_quantum_fp,
@@ -37,14 +35,11 @@ from repro.core.region import FeasibleRegion
 
 __all__ = [
     "min_quantum",
-    "min_quantum_detailed",
     "min_quantum_fp",
     "min_quantum_edf",
     "min_quantum_exact",
-    "MinQResult",
     "QuantumCurve",
     "SystemCurve",
-    "mode_quantum_bounds",
     "quanta_feasible",
     "FeasibleRegion",
     "Overheads",

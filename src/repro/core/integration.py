@@ -154,13 +154,6 @@ def _quanta_verdicts(
     return result
 
 
-def mode_quantum_bounds(
-    partition: PartitionedTaskSet, algorithm: str, period: float
-) -> dict[Mode, float]:
-    """Convenience: the three ``minQ_k(P)`` values (Eqs. 12–14 lower bounds)."""
-    return SystemCurve(partition, algorithm).min_quanta(period)
-
-
 def quanta_feasible(
     partition: PartitionedTaskSet,
     algorithm: str,

@@ -36,8 +36,7 @@ feasibility tests. Its result is never larger than the linear-bound value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -48,7 +47,7 @@ from repro.analysis.priorities import priority_order
 from repro.analysis.workload import fp_workload_array
 from repro.model import Task, TaskSet
 from repro.supply import PeriodicSlotSupply
-from repro.util import EPS, check_positive
+from repro.util import check_positive
 
 
 def _f_quantum(t: np.ndarray, w: np.ndarray, period: float) -> np.ndarray:
@@ -99,33 +98,6 @@ def demand_groups(
     return alg, groups
 
 
-@dataclass(frozen=True)
-class MinQResult:
-    """Detailed ``minQ`` outcome.
-
-    Attributes
-    ----------
-    value:
-        The minimum usable quantum ``Q̃`` (0 for an empty task set).
-    period:
-        The major period ``P`` the value was computed for.
-    algorithm:
-        "RM" / "DM" / "EDF".
-    binding_task:
-        For FP: the task whose constraint is binding (the arg-max of Eq. 6).
-        None for EDF or empty sets.
-    binding_point:
-        The time point realising the binding value (arg-min over the binding
-        task's scheduling points for FP; arg-max over dlSet for EDF).
-    """
-
-    value: float
-    period: float
-    algorithm: str
-    binding_task: str | None = None
-    binding_point: float | None = None
-
-
 class QuantumCurve:
     """``minQ`` as a reusable function of the period ``P``.
 
@@ -150,24 +122,22 @@ class QuantumCurve:
         self, taskset: TaskSet, algorithm: str | Sequence[Task] = "EDF"
     ):
         self._taskset = taskset
-        self._alg, self._groups = demand_groups(taskset, algorithm)
+        self._alg, groups = demand_groups(taskset, algorithm)
         # f_P's superlevel (EDF) / sublevel (FP) sets are half-planes, so
         # only the convex hull of the (t, W) pairs can bind Eq. 11 / Eq. 6:
         # evaluate() sweeps a handful of hull points instead of the whole
         # dlSet per candidate period, bit-identically (the conservative
-        # hull never drops a potential arg-extremum). detailed() keeps the
-        # full sets so binding points are reported from the same candidate
-        # list as before.
+        # hull never drops a potential arg-extremum).
         if kernels.fast_kernels_enabled():
             self._eval_groups = [
                 (name, pts[idx], w[idx])
-                for name, pts, w in self._groups
+                for name, pts, w in groups
                 for idx in (
                     kernels.binding_hull(pts, w, upper=self._alg == "EDF"),
                 )
             ]
         else:
-            self._eval_groups = self._groups
+            self._eval_groups = groups
 
     @property
     def algorithm(self) -> str:
@@ -208,30 +178,6 @@ class QuantumCurve:
             else:
                 out = np.maximum(out, f.min(axis=0))
         return float(out[0]) if scalar else out
-
-    def detailed(self, period: float) -> MinQResult:
-        """Full :class:`MinQResult` at a single period."""
-        check_positive("period", period)
-        if not self._groups:
-            return MinQResult(0.0, period, self._alg)
-        best_val = -np.inf
-        best_task: str | None = None
-        best_point: float | None = None
-        for name, pts, w in self._groups:
-            f = _f_quantum(pts, w, period)
-            if self._alg == "EDF":
-                idx = int(np.argmax(f))
-                val = float(f[idx])
-                point = float(pts[idx])
-                task = None
-            else:
-                idx = int(np.argmin(f))
-                val = float(f[idx])
-                point = float(pts[idx])
-                task = name
-            if val > best_val:
-                best_val, best_task, best_point = val, task, point
-        return MinQResult(best_val, period, self._alg, best_task, best_point)
 
 
 # -- functional API -------------------------------------------------------------
@@ -295,13 +241,6 @@ def min_quantum(
     if alg in ("RM", "DM", "FP"):
         return min_quantum_fp(taskset, period, "RM" if alg == "FP" else alg)
     raise ValueError(f"unknown algorithm {algorithm!r} (EDF, RM or DM)")
-
-
-def min_quantum_detailed(
-    taskset: TaskSet, algorithm: str, period: float
-) -> MinQResult:
-    """Like :func:`min_quantum` but returns the binding task/point."""
-    return QuantumCurve(taskset, algorithm).detailed(period)
 
 
 def min_quantum_exact(

@@ -32,7 +32,6 @@ from repro.experiments.figure4 import (
     compute_figure4_points,
     figure4_aggregator,
     figure4_points_from_aggregate,
-    figure4_points_from_results,
     figure4_series,
     figure4_specs,
 )
@@ -53,7 +52,6 @@ from repro.experiments.faultspace import (
     render_faultspace,
 )
 from repro.experiments.weighted import (
-    compute_weighted,
     weighted_adaptive_source,
     weighted_aggregator,
     weighted_curve_rows,
@@ -70,7 +68,6 @@ __all__ = [
     "figure4_specs",
     "figure4_aggregator",
     "figure4_points_from_aggregate",
-    "figure4_points_from_results",
     "compute_figure4_points",
     "Figure4Points",
     "compute_table2",
@@ -80,7 +77,6 @@ __all__ = [
     "table2_from_results",
     "Table2",
     "Table2Row",
-    "compute_weighted",
     "weighted_adaptive_source",
     "weighted_aggregator",
     "weighted_curve_rows",

@@ -2,8 +2,8 @@
 
 Regenerates the two curves (Eq. 15 LHS vs. ``P``) and the five annotated
 points of the figure. The five points are evaluated as ``figure4-point``
-campaign specs through :func:`repro.runner.run_campaign` (deterministic, so
-results match the former serial computation exactly); the plotted series
+campaign specs through :func:`repro.runner.stream_campaign`, which folds
+them into named slots (:func:`figure4_aggregator`); the plotted series
 stays a single vectorised region sweep — there is no per-point loop to fan
 out.
 """
@@ -89,13 +89,6 @@ def figure4_specs(
             {**base, "query": "max-period", "algorithm": "EDF", "otot": otot},
         ),
     ]
-
-
-def figure4_points_from_results(
-    results: list[dict], otot: float = PAPER_OTOT
-) -> Figure4Points:
-    """Rebuild the points from the :func:`figure4_specs` campaign results."""
-    return Figure4Points(*(r["value"] for r in results), otot=otot)
 
 
 def _slot_key(spec: PointSpec) -> str:

@@ -5,9 +5,8 @@ Row (a) lists the *required* per-mode utilizations
 ``O_tot = 0.05`` produced by the min-overhead-bandwidth and max-slack goals.
 
 The rows are evaluated as campaign points (``table2-required`` /
-``table2-row``) through :func:`repro.runner.run_campaign`, so the table
-shares the runner's caching and parallelism; results are identical to the
-former in-process computation.
+``table2-row``) through :func:`repro.runner.stream_campaign`, so the table
+shares the runner's caching and parallelism.
 """
 
 from __future__ import annotations

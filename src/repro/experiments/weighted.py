@@ -27,22 +27,18 @@ replications the grid sweeps.
 
 from __future__ import annotations
 
-import os
 from typing import Any, Mapping, Sequence
 
 from repro.runner import (
     AdaptiveRefinementSource,
     Aggregator,
     PointSpec,
-    ShardManifest,
     axis_values,
     curve_metric,
     extrema_metric,
     grid_specs,
     histogram_metric,
     mean_metric,
-    shard_specs,
-    stream_campaign,
 )
 
 #: Default schedulability grid: utilization x n x period generator x reps.
@@ -191,47 +187,6 @@ def weighted_aggregator() -> Aggregator:
     )
 
 
-def compute_weighted(
-    sched_axes: Mapping[str, Any] | None = None,
-    fault_axes: Mapping[str, Any] | None = None,
-    *,
-    workers: int | None = 1,
-    master_seed: int = 0,
-    cache_dir: str | os.PathLike | None = None,
-    state_path: str | os.PathLike | None = None,
-    shard: tuple[int, int] | None = None,
-) -> Aggregator:
-    """Run the weighted sweep and return the folded aggregate.
-
-    Generated task sets that cannot even be designed (``fault-injection``
-    at infeasible utilizations) are recorded as errors and excluded from
-    the aggregate rather than aborting the sweep.
-
-    ``shard=(i, N)`` runs only shard ``i`` of ``N`` of the grid (see
-    :mod:`repro.runner.shard`): the returned aggregate then covers that
-    shard's points only, and the ``state_path`` snapshot is tagged with the
-    shard manifest so ``repro merge`` can later fold the N shard snapshots
-    into the full-campaign aggregate.
-    """
-    specs = weighted_specs(sched_axes, fault_axes)
-    manifest = None
-    if shard is not None:
-        index, count = shard
-        manifest = ShardManifest.for_shard(specs, index, count)
-        specs = shard_specs(specs, index, count)
-    result = stream_campaign(
-        specs,
-        weighted_aggregator(),
-        workers=workers,
-        master_seed=master_seed,
-        cache_dir=cache_dir,
-        state_path=state_path,
-        on_error="store",
-        shard=manifest,
-    )
-    return result.aggregator
-
-
 def weighted_curve_rows(
     aggregator: Aggregator, metric: str, axes: Sequence[str]
 ) -> tuple[list[str], list[list[Any]]]:
@@ -300,7 +255,6 @@ def render_weighted_ascii(
 __all__ = [
     "WEIGHTED_FAULT_AXES",
     "WEIGHTED_SCHED_AXES",
-    "compute_weighted",
     "render_weighted_ascii",
     "weighted_adaptive_source",
     "weighted_aggregator",

@@ -12,7 +12,7 @@ fault is active at a time. This package provides:
   statistics.
 """
 
-from repro.faults.injection import FaultCampaign, FaultCampaignResult, run_campaign
+from repro.faults.injection import FaultCampaign, FaultCampaignResult
 from repro.faults.model import (
     Fault,
     FaultOutcome,
@@ -29,5 +29,4 @@ __all__ = [
     "deterministic_faults",
     "FaultCampaign",
     "FaultCampaignResult",
-    "run_campaign",
 ]

@@ -13,7 +13,7 @@ errors and aggregates what the paper's Section 2.2 promises qualitatively:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -137,18 +137,6 @@ class FaultCampaign:
         fault_list = list(faults)
         result = sim.run(horizon, faults=fault_list)
         return _aggregate(result, len(fault_list))
-
-
-def run_campaign(
-    partition: PartitionedTaskSet,
-    config: PlatformConfig,
-    *,
-    rate: float = 0.01,
-    horizon: float | None = None,
-    seed: int = 0,
-) -> FaultCampaignResult:
-    """One-call Poisson fault campaign (see :class:`FaultCampaign`)."""
-    return FaultCampaign(partition, config, rate=rate).run(horizon=horizon, seed=seed)
 
 
 def _aggregate(result: MulticoreResult, injected: int) -> FaultCampaignResult:

@@ -16,6 +16,11 @@ from repro.model.taskset import TaskSet
 _SCHEMA_VERSION = 1
 
 
+def _check_object(what: str, data: Any) -> None:
+    if not isinstance(data, Mapping):
+        raise ValueError(f"{what} must be a JSON object: got {data!r}")
+
+
 def task_to_dict(task: Task) -> dict[str, Any]:
     """Serialize a task to a plain dict."""
     return {
@@ -33,6 +38,7 @@ def task_from_dict(data: Mapping[str, Any]) -> Task:
     A nonzero ``"jitter"`` is rejected: no analysis accounts for release
     jitter, so accepting it would report a guarantee that does not hold.
     """
+    _check_object("a task", data)
     try:
         mode = Mode(data.get("mode", "NF"))
     except ValueError as exc:
@@ -61,6 +67,7 @@ def taskset_to_dict(taskset: TaskSet) -> dict[str, Any]:
 
 def taskset_from_dict(data: Mapping[str, Any]) -> TaskSet:
     """Deserialize a task set from :func:`taskset_to_dict` output."""
+    _check_object("a task set", data)
     schema = data.get("schema", _SCHEMA_VERSION)
     if schema != _SCHEMA_VERSION:
         raise ValueError(f"unsupported taskset schema version: {schema}")

@@ -19,14 +19,13 @@ a single transient fault (mask / silence / corrupt), which this model
 captures exactly.
 """
 
-from repro.platform.hardware import Checker, Core, FaultEffect, LockstepChannel
+from repro.platform.hardware import Core, FaultEffect, LockstepChannel
 from repro.platform.modes import ModeLayout, layout_for, surviving_channels
 from repro.platform.switcher import ModeSwitchController, Segment, SegmentKind
 
 __all__ = [
     "Core",
     "LockstepChannel",
-    "Checker",
     "FaultEffect",
     "ModeLayout",
     "layout_for",

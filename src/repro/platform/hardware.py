@@ -12,18 +12,20 @@ transient fault hits one member core:
   channel's bus access (fail-silent) before the wrong value reaches memory;
 * single core (NF): nothing observes the fault — the running job's output
   is silently corrupted.
+
+:meth:`LockstepChannel.fault_effect` gives that outcome for one channel.
+The simulators classify a strike by the channel that holds the struck core
+in the layout of the mode in force (:func:`repro.platform.modes.layout_for`).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-
-from repro.model import Mode
+from dataclasses import dataclass
 
 
 class FaultEffect(enum.Enum):
-    """Checker outcome for a single transient fault hitting a channel."""
+    """The checker's outcome for a single transient fault hitting a channel."""
 
     MASKED = "masked"          #: majority vote hid the fault (FT)
     SILENCED = "silenced"      #: mismatch detected, channel blocked (FS)
@@ -89,62 +91,9 @@ class LockstepChannel:
         return core in self.cores
 
     def fault_effect(self) -> FaultEffect:
-        """Checker outcome when a single member core suffers a soft error."""
+        """The checker's outcome when a single member core suffers a soft error."""
         if self.voting:
             return FaultEffect.MASKED
         if self.width >= 2:
             return FaultEffect.SILENCED
         return FaultEffect.CORRUPTED
-
-
-class Checker:
-    """The output comparator / bus gate / reconfiguration unit of Figure 1.
-
-    The checker holds the current channel layout and classifies faults.
-    Reconfiguration (changing layouts at slot boundaries) is driven by the
-    :class:`~repro.platform.switcher.ModeSwitchController`.
-    """
-
-    def __init__(self) -> None:
-        self._channels: tuple[LockstepChannel, ...] = ()
-        self._mode: Mode | None = None
-
-    @property
-    def mode(self) -> Mode | None:
-        """The currently configured operating mode (None before first config)."""
-        return self._mode
-
-    @property
-    def channels(self) -> tuple[LockstepChannel, ...]:
-        """The current channel layout."""
-        return self._channels
-
-    def configure(self, mode: Mode, channels: tuple[LockstepChannel, ...]) -> None:
-        """Install a new channel layout (a mode switch).
-
-        Validates that the layout uses each physical core of a contiguous
-        ``0..n-1`` platform exactly once.
-        """
-        used = [c for ch in channels for c in ch.cores]
-        if not used or sorted(used) != list(range(len(used))):
-            raise ValueError(
-                f"layout must use each of cores 0..n-1 exactly once: got {used}"
-            )
-        self._channels = tuple(channels)
-        self._mode = mode
-
-    def channel_of(self, core: int) -> tuple[int, LockstepChannel]:
-        """The (index, channel) hosting a physical core."""
-        for i, ch in enumerate(self._channels):
-            if ch.contains(core):
-                return i, ch
-        raise RuntimeError("checker is not configured")
-
-    def classify_fault(self, core: int) -> tuple[int, FaultEffect]:
-        """Outcome of a single transient fault on ``core``.
-
-        Returns the logical processor (channel) index affected and the
-        :class:`FaultEffect` the checker produces for it.
-        """
-        idx, channel = self.channel_of(core)
-        return idx, channel.fault_effect()

@@ -50,7 +50,7 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro import telemetry
 from repro.runner.aggregate import Aggregator
-from repro.runner.grid import axis_values, expand_grid, grid_specs
+from repro.runner.grid import axis_values, expand_grid
 from repro.runner.shard import grid_digest
 from repro.runner.spec import PointSpec, canonical_json
 
@@ -167,17 +167,6 @@ class GridSource(PointSource):
 
     def __init__(self, specs: Iterable[PointSpec]):
         self.specs = list(specs)
-
-    @classmethod
-    def from_grid(
-        cls,
-        experiment: str,
-        axes: Mapping[str, Any],
-        *,
-        base_params: Mapping[str, Any] | None = None,
-    ) -> "GridSource":
-        """Wrap :func:`~repro.runner.grid.grid_specs` bit-for-bit."""
-        return cls(grid_specs(experiment, axes, base_params=base_params))
 
     @property
     def config_digest(self) -> str:
@@ -359,15 +348,6 @@ class AdaptiveRefinementSource(PointSource):
     @property
     def is_complete(self) -> bool:
         return self._complete
-
-    @property
-    def rounds_planned(self) -> int:
-        """Rounds emitted so far (== total rounds once complete)."""
-        return self._round
-
-    @property
-    def points_emitted(self) -> int:
-        return self._emitted
 
     # -- emission ---------------------------------------------------------
 

@@ -50,7 +50,6 @@ from repro.server.http import (
     json_response,
     read_request,
     response,
-    text_response,
 )
 from repro.server.jobs import Job, JobError, JobManager
 

@@ -149,16 +149,6 @@ def json_response(
     return response(status, body, "application/json", extra_headers)
 
 
-def text_response(
-    status: int,
-    text: str,
-    extra_headers: "Mapping[str, str] | None" = None,
-) -> bytes:
-    return response(
-        status, text.encode("utf-8"), "text/plain; charset=utf-8", extra_headers
-    )
-
-
 def error_response(status: int, message: str) -> bytes:
     return json_response(status, {"error": message})
 
@@ -209,5 +199,4 @@ __all__ = [
     "json_response",
     "read_request",
     "response",
-    "text_response",
 ]

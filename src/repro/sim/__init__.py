@@ -9,9 +9,10 @@ Built bottom-up for this repository (no external simulator):
   job-abort hooks for fail-silent faults;
 * :mod:`repro.sim.multicore` — the full platform: expands a designed
   :class:`~repro.core.config.SlotSchedule` into mode slots, runs every
-  logical processor of every mode, applies fault effects through the
-  :class:`~repro.platform.hardware.Checker` semantics, and aggregates
-  deadline and fault statistics;
+  logical processor of every mode, applies each fault's effect from the
+  struck channel of the mode in force
+  (:meth:`~repro.platform.hardware.LockstepChannel.fault_effect`), and
+  aggregates deadline and fault statistics;
 * :mod:`repro.sim.events` — the deterministic event queue the online
   engine drains (arrival / departure / fault strike / core death /
   re-assignment, totally ordered);

@@ -294,7 +294,7 @@ class MulticoreSim:
         return self._controller.entry_at(fault.time)
 
     def classify_fault(self, fault: Fault) -> tuple[FaultOutcome, Mode | None, int | None, Segment]:
-        """Checker view of a fault: (outcome, mode, channel index, segment)."""
+        """The checker's view of a fault: (outcome, mode, channel index, segment)."""
         entry, cycle = self._entry_at(fault)
         row = self._strikes[entry]
         outcome, chan, _key = row.effects[fault.core]

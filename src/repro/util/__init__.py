@@ -8,19 +8,14 @@ validation with consistent error messages.
 from repro.util.mathutils import (
     EPS,
     REL_TOL,
-    approx_ge,
     approx_le,
     boundary_le,
-    boundary_lt,
     feq,
-    fgt,
-    flt,
     fuzzy_ceil,
     fuzzy_ceil_array,
     fuzzy_floor,
     fuzzy_floor_array,
     lcm_fractions,
-    lcm_ints,
     to_fraction,
 )
 from repro.util.validation import (
@@ -35,19 +30,14 @@ from repro.util.validation import (
 __all__ = [
     "EPS",
     "REL_TOL",
-    "approx_ge",
     "approx_le",
     "boundary_le",
-    "boundary_lt",
     "feq",
-    "fgt",
-    "flt",
     "fuzzy_ceil",
     "fuzzy_ceil_array",
     "fuzzy_floor",
     "fuzzy_floor_array",
     "lcm_fractions",
-    "lcm_ints",
     "to_fraction",
     "check_core_count",
     "check_finite",

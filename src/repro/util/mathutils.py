@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,24 +27,9 @@ def feq(a: float, b: float, eps: float = EPS) -> bool:
     return abs(a - b) <= max(eps, REL_TOL * max(abs(a), abs(b)))
 
 
-def flt(a: float, b: float, eps: float = EPS) -> bool:
-    """Return True if ``a`` is strictly less than ``b`` beyond tolerance."""
-    return a < b and not feq(a, b, eps)
-
-
-def fgt(a: float, b: float, eps: float = EPS) -> bool:
-    """Return True if ``a`` is strictly greater than ``b`` beyond tolerance."""
-    return a > b and not feq(a, b, eps)
-
-
 def approx_le(a: float, b: float, eps: float = EPS) -> bool:
     """Return True if ``a <= b`` allowing tolerance ``eps``."""
     return a <= b or feq(a, b, eps)
-
-
-def approx_ge(a: float, b: float, eps: float = EPS) -> bool:
-    """Return True if ``a >= b`` allowing tolerance ``eps``."""
-    return a >= b or feq(a, b, eps)
 
 
 def fuzzy_floor(x: float, eps: float = EPS) -> int:
@@ -97,19 +82,11 @@ def fuzzy_ceil_array(x: "np.ndarray", eps: float = EPS) -> "np.ndarray":
 def boundary_le(t: float, limit: float, eps: float = EPS) -> bool:
     """Inclusion rule ``t <= limit`` with an on-boundary band of ``±eps``.
 
-    A point inside the band counts as *on* the boundary: included here,
-    excluded by :func:`boundary_lt`. ``deadline_set`` (horizon inclusion)
-    and QPA (strictly-below-limit filter) share exactly this rule, so a
-    deadline near the limit is never counted by one and dropped by the
-    other under two different conventions. The integer kernels implement
-    the same rule with the band collapsed to zero.
+    A point inside the band counts as *on* the boundary and is included:
+    ``deadline_set``'s horizon rule. The integer kernels implement the
+    same rule with the band collapsed to zero.
     """
     return t <= limit + eps
-
-
-def boundary_lt(t: float, limit: float, eps: float = EPS) -> bool:
-    """Strictly below ``limit``, beyond the ``±eps`` boundary band."""
-    return t < limit - eps
 
 
 def to_fraction(value: float | int | Fraction, max_denominator: int = 10**9) -> Fraction:
@@ -127,16 +104,6 @@ def to_fraction(value: float | int | Fraction, max_denominator: int = 10**9) -> 
     if not math.isfinite(value):
         raise ValueError(f"cannot convert non-finite value {value!r} to Fraction")
     return Fraction(value).limit_denominator(max_denominator)
-
-
-def lcm_ints(values: Iterable[int]) -> int:
-    """Least common multiple of positive integers (empty iterable -> 1)."""
-    out = 1
-    for v in values:
-        if v <= 0:
-            raise ValueError(f"lcm_ints requires positive integers, got {v}")
-        out = out * v // math.gcd(out, v)
-    return out
 
 
 def lcm_fractions(values: Sequence[Fraction]) -> Fraction:

@@ -1,4 +1,4 @@
-"""ASCII line plots for region curves and supply functions."""
+"""ASCII line plots for region curves."""
 
 from __future__ import annotations
 
@@ -6,8 +6,6 @@ import itertools
 from typing import Mapping, Sequence
 
 import numpy as np
-
-from repro.supply import SupplyFunction
 
 
 def ascii_plot(
@@ -93,23 +91,4 @@ def render_region(
         x_label="P (period)",
         y_label="lhs of Eq. (15)",
         hline=otot,
-    )
-
-
-def render_supply(
-    supplies: Mapping[str, SupplyFunction],
-    horizon: float,
-    *,
-    n: int = 200,
-    width: int = 90,
-    height: int = 20,
-) -> str:
-    """Figure-3-style rendering of one or more supply functions."""
-    ts = np.linspace(0.0, horizon, n)
-    series = {
-        name: (ts, np.asarray(z.supply_array(ts)))
-        for name, z in supplies.items()
-    }
-    return ascii_plot(
-        series, width=width, height=height, x_label="t", y_label="Z(t)"
     )

@@ -1,4 +1,4 @@
-"""Unit tests for EDF analysis: dbf, dlSet, Theorem 2, QPA."""
+"""Unit tests for EDF analysis: dbf, dlSet, Theorem 2."""
 
 import numpy as np
 import pytest
@@ -8,11 +8,9 @@ from repro.analysis import (
     demand_bound_function,
     edf_schedulable_dedicated,
     edf_schedulable_supply,
-    edf_utilization_test,
-    qpa_schedulable,
 )
 from repro.analysis import kernels
-from repro.analysis.edf import demand_bound_array, synchronous_busy_period
+from repro.analysis.edf import demand_bound_array
 from repro.model import Task, TaskSet
 from repro.supply import DedicatedSupply, LinearSupply, PeriodicSlotSupply
 
@@ -112,15 +110,6 @@ class TestDedicatedEDF:
     def test_empty_taskset(self):
         assert edf_schedulable_dedicated(TaskSet()).schedulable
 
-    def test_utilization_test_exact_for_implicit(self, pair_full):
-        assert edf_utilization_test(pair_full)
-        heavier = TaskSet([Task("a", 3, 4), Task("b", 3, 8)])  # U = 1.125
-        assert not edf_utilization_test(heavier)
-
-    def test_utilization_test_requires_implicit(self):
-        with pytest.raises(ValueError):
-            edf_utilization_test(TaskSet([Task("a", 1, 4, deadline=2)]))
-
 
 class TestSupplyAwareEDF:
     def test_paper_ft_subset_at_design_point(self):
@@ -168,37 +157,3 @@ class TestSupplyAwareEDF:
         )
         assert res.schedulable
         assert res.points_checked > 10
-
-
-class TestBusyPeriodAndQPA:
-    def test_busy_period_simple(self):
-        # a: C=2,T=4 ; b: C=1,T=8 — w converges: w0=3, w1=2*ceil(3/4)+1=3 ✓
-        ts = TaskSet([Task("a", 2, 4), Task("b", 1, 8)])
-        assert synchronous_busy_period(ts) == pytest.approx(3.0)
-
-    def test_busy_period_full_utilization(self, pair_full):
-        assert synchronous_busy_period(pair_full) == pytest.approx(8.0)
-
-    def test_busy_period_rejects_overload(self):
-        over = TaskSet([Task("a", 3, 4), Task("b", 3, 8)])  # U = 1.125
-        with pytest.raises(ValueError):
-            synchronous_busy_period(over)
-
-    def test_qpa_agrees_with_processor_demand_on_random_sets(self, rng):
-        from repro.generators import generate_taskset
-
-        for i in range(30):
-            n = int(rng.integers(2, 6))
-            u = float(rng.uniform(0.5, 1.0))
-            ts = generate_taskset(
-                n, u, rng, period_low=4, period_high=40,
-                deadline_factor=float(rng.uniform(0.6, 1.0)),
-                period_granularity=1.0,
-            )
-            assert qpa_schedulable(ts) == edf_schedulable_dedicated(ts).schedulable
-
-    def test_qpa_trivial_cases(self, pair_full):
-        assert qpa_schedulable(TaskSet())
-        assert qpa_schedulable(pair_full)
-        over = TaskSet([Task("a", 3, 4), Task("b", 3, 8)])  # U = 1.125
-        assert not qpa_schedulable(over)

@@ -7,9 +7,6 @@ from repro.analysis import (
     fp_response_time_supply,
     fp_schedulable_dedicated,
     fp_schedulable_supply,
-    hyperbolic_bound_test,
-    liu_layland_bound,
-    liu_layland_test,
 )
 from repro.model import Task, TaskSet
 from repro.supply import DedicatedSupply, LinearSupply, NullSupply, PeriodicSlotSupply
@@ -147,45 +144,3 @@ class TestResponseTimeAnalysis:
         t = Task("a", 1, 8)
         r = fp_response_time_supply(t, [], PeriodicSlotSupply(4.0, 2.0))
         assert r == pytest.approx(3.0)
-
-
-class TestUtilizationBounds:
-    def test_liu_layland_bound_values(self):
-        assert liu_layland_bound(1) == pytest.approx(1.0)
-        assert liu_layland_bound(2) == pytest.approx(2 * (2 ** 0.5 - 1))
-
-    def test_liu_layland_bound_decreasing_to_ln2(self):
-        import math
-
-        assert liu_layland_bound(1000) == pytest.approx(math.log(2), abs=1e-3)
-
-    def test_liu_layland_test(self, liu_layland_classic):
-        assert liu_layland_test(liu_layland_classic)
-
-    def test_liu_layland_rejects_above_bound(self):
-        ts = TaskSet([Task("a", 1, 2), Task("b", 1, 3)])  # U = 0.833 > 0.828
-        assert not liu_layland_test(ts)
-
-    def test_hyperbolic_dominates_liu_layland(self):
-        # U=0.833 case: hyperbolic accepts (1.5 * 4/3 = 2.0 <= 2).
-        ts = TaskSet([Task("a", 1, 2), Task("b", 1, 3)])
-        assert hyperbolic_bound_test(ts)
-
-    def test_hyperbolic_rejects_overload(self):
-        ts = TaskSet([Task("a", 1, 2), Task("b", 2, 3)])
-        assert not hyperbolic_bound_test(ts)
-
-    def test_bounds_require_implicit_deadlines(self):
-        ts = TaskSet([Task("a", 1, 4, deadline=3)])
-        with pytest.raises(ValueError):
-            liu_layland_test(ts)
-        with pytest.raises(ValueError):
-            hyperbolic_bound_test(ts)
-
-    def test_empty_sets_pass(self):
-        assert liu_layland_test(TaskSet())
-        assert hyperbolic_bound_test(TaskSet())
-
-    def test_bound_rejects_bad_n(self):
-        with pytest.raises(ValueError):
-            liu_layland_bound(0)

@@ -22,15 +22,9 @@ from repro.analysis import (
     fp_workload,
     fp_workload_array,
     kernels,
-    qpa_schedulable,
     scheduling_points,
 )
-from repro.analysis.edf import (
-    demand_bound_array,
-    edf_demand,
-    edf_demand_points,
-    synchronous_busy_period,
-)
+from repro.analysis.edf import demand_bound_array, edf_demand, edf_demand_points
 from repro.core.minq import QuantumCurve, min_quantum_edf_scaled
 from repro.experiments.online import online_aggregator, online_specs
 from repro.generators import generate_mixed_taskset, generate_taskset
@@ -89,13 +83,6 @@ class TestRescale:
             integer_pair.tasks
         )
 
-    def test_wcets_exact_rationals(self):
-        ts = TaskSet([Task("a", 0.375, 4), Task("b", 1.5, 8)])
-        sts = kernels.rescale(ts.tasks)
-        assert sts is not None
-        assert sts.wcet_den == 8
-        assert sts.wcet_nums == (3, 12)
-
 
 def _fraction_rescale(tasks):
     """The rescale pass written with :class:`Fraction` (the reference).
@@ -119,17 +106,7 @@ def _fraction_rescale(tasks):
             return None
     if hyper + max(periods) > kernels.MAX_SCALED:
         return None
-    fracs = [Fraction(t.wcet) for t in tasks]
-    wcet_den = 1
-    for frac in fracs:
-        wcet_den = wcet_den * frac.denominator // math.gcd(
-            wcet_den, frac.denominator
-        )
-    nums = tuple(f.numerator * (wcet_den // f.denominator) for f in fracs)
-    return (
-        scale, periods, deadlines, [t.wcet for t in tasks], nums, wcet_den,
-        hyper,
-    )
+    return scale, periods, deadlines, [t.wcet for t in tasks], hyper
 
 
 def _fields(sts):
@@ -138,7 +115,7 @@ def _fields(sts):
     assert sts.periods.dtype == np.int64 and sts.deadlines.dtype == np.int64
     return (
         sts.scale, sts.periods.tolist(), sts.deadlines.tolist(),
-        sts.wcets.tolist(), sts.wcet_nums, sts.wcet_den, sts.hyperperiod,
+        sts.wcets.tolist(), sts.hyperperiod,
     )
 
 
@@ -215,7 +192,7 @@ class TestToggleAndCounters:
         before = kernels.kernel_counters()
         with kernels.kernels_forced(True):
             deadline_set(integer_pair)  # rescalable -> fast
-            qpa_schedulable(OVERFLOW_TASKS)  # overflow -> fallback
+            deadline_set(OVERFLOW_TASKS, 50_000.0)  # overflow -> fallback
         delta = kernels.counters_delta(before)
         assert delta["fast"] >= 1
         assert delta["fallback"] >= 1
@@ -246,16 +223,13 @@ class TestFastMatchesFallback:
             with kernels.kernels_forced(True):
                 fast_dl = deadline_set(ts)
                 fast_w = demand_bound_array(ts, fast_dl)
-                fast_qpa = qpa_schedulable(ts)
                 fast_edf = edf_schedulable_dedicated(ts)
             with kernels.kernels_forced(False):
                 slow_dl = deadline_set(ts)
                 slow_w = demand_bound_array(ts, slow_dl)
-                slow_qpa = qpa_schedulable(ts)
                 slow_edf = edf_schedulable_dedicated(ts)
             assert fast_dl == slow_dl
             assert np.array_equal(fast_w, slow_w)
-            assert fast_qpa is slow_qpa
             assert fast_edf.schedulable == slow_edf.schedulable
             assert fast_edf.points_checked == slow_edf.points_checked
 
@@ -280,27 +254,6 @@ class TestFastMatchesFallback:
             assert fast_s == slow_s
             if fast_w is not None:
                 assert np.array_equal(fast_w, slow_w)
-
-    def test_busy_period_matches_fallback(self):
-        rng = random.Random(23)
-        for _ in range(40):
-            ts = random_taskset(rng, dyadic=rng.random() < 0.5)
-            if ts.utilization > 1.0 or kernels.rescale(ts.tasks) is None:
-                continue
-            with kernels.kernels_forced(True):
-                fast = synchronous_busy_period(ts)
-            with kernels.kernels_forced(False):
-                slow = synchronous_busy_period(ts)
-            # the exact rational rounds to float once; the float iteration
-            # accumulates rounding, so agreement is to the last ulp only
-            assert fast == pytest.approx(slow, rel=1e-12)
-
-    def test_overload_raises_both_paths(self):
-        ts = TaskSet([Task("a", 3, 4), Task("b", 3, 8)])
-        for enabled in (True, False):
-            with kernels.kernels_forced(enabled):
-                with pytest.raises(ValueError):
-                    synchronous_busy_period(ts)
 
 
 class TestToleranceUnification:
@@ -339,29 +292,6 @@ class TestToleranceUnification:
             assert 12.0 in deadline_set(ts, 12.0 + 2 * EPS)
             assert deadline_set(ts, 12.0 - 2 * EPS) == (4.0, 8.0)
 
-    def test_busy_period_iterates_to_exact_fixed_point(self):
-        # The former convergence rule |w_next - w| <= EPS*max(1, w) opens a
-        # ~1e-3 band at w ~ 1e6 and accepts the penultimate iterate of this
-        # set (1000499.2495); the exact fixed point is one step further.
-        ts = TaskSet(
-            [Task("big", 999999.0, 4000000.0), Task("tiny", 0.000125, 0.25)]
-        )
-        for enabled in (True, False):
-            with kernels.kernels_forced(enabled):
-                assert synchronous_busy_period(ts) == 1000499.249625
-
-        # document the historical failure: replay the float iteration with
-        # the old tolerance and watch it stop early
-        w = float(sum(t.wcet for t in ts))
-        while True:
-            w_next = float(
-                sum(np.ceil(w / t.period - EPS) * t.wcet for t in ts)
-            )
-            if abs(w_next - w) <= EPS * max(1.0, w):
-                break
-            w = w_next
-        assert w == 1000499.2495  # != the true fixed point
-
 
 class TestOverflowFallback:
     """Sets beyond the rescale bound must route to the float path."""
@@ -369,12 +299,12 @@ class TestOverflowFallback:
     def test_overflow_set_falls_back_with_identical_verdicts(self):
         before = kernels.kernel_counters()
         with kernels.kernels_forced(True):
-            fast_qpa = qpa_schedulable(OVERFLOW_TASKS)
+            fast_edf = edf_schedulable_dedicated(OVERFLOW_TASKS)
             fast_dl = deadline_set(OVERFLOW_TASKS, 50_000.0)
         assert kernels.counters_delta(before)["fast"] == 0
         assert kernels.counters_delta(before)["fallback"] >= 2
         with kernels.kernels_forced(False):
-            assert qpa_schedulable(OVERFLOW_TASKS) is fast_qpa
+            assert edf_schedulable_dedicated(OVERFLOW_TASKS) == fast_edf
             assert deadline_set(OVERFLOW_TASKS, 50_000.0) == fast_dl
 
     def test_off_grid_point_falls_back(self, integer_pair):
@@ -533,7 +463,7 @@ def assert_same_scaled(got, want):
     for name in ("periods", "deadlines", "wcets"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
-    for name in ("tasks", "scale", "wcet_nums", "wcet_den", "hyperperiod"):
+    for name in ("tasks", "scale", "hyperperiod"):
         assert getattr(got, name) == getattr(want, name), name
 
 
@@ -603,12 +533,6 @@ class TestExtend:
         assert grown.periods.tolist() == [16, 24, 10]
         assert grown.deadlines.tolist() == [16, 20, 5]
         assert grown.hyperperiod == 240
-
-    def test_wcet_denominator_grows(self):
-        base = (Task("a", 1.5, 4.0), Task("b", 2.0, 6.0))
-        grown = self.assert_extends(base, Task("c", 0.375, 8.0))
-        assert kernels.rescale(base).wcet_den == 2
-        assert grown.wcet_den == 8 and grown.wcet_nums == (12, 16, 3)
 
     def test_refusals_match_rescale(self):
         base = (Task("a", 1.0, 4.0), Task("b", 2.0, 6.0, 5.0))

@@ -1,18 +1,9 @@
-"""Unit tests for priority assignment (RM, DM, OPA)."""
+"""Unit tests for priority orders (RM, DM)."""
 
 import pytest
 
-from repro.analysis import (
-    audsley_opa,
-    deadline_monotonic,
-    fp_schedulable_supply,
-    priority_order,
-    rate_monotonic,
-)
-from repro.analysis.points import scheduling_points
-from repro.analysis.workload import fp_workload_array
+from repro.analysis import deadline_monotonic, priority_order, rate_monotonic
 from repro.model import Task, TaskSet
-from repro.supply import LinearSupply
 
 
 @pytest.fixture
@@ -51,46 +42,3 @@ class TestStaticOrders:
     def test_rm_equals_dm_for_implicit_deadlines(self):
         ts = TaskSet([Task("a", 1, 4), Task("b", 1, 9), Task("c", 1, 6)])
         assert rate_monotonic(ts) == deadline_monotonic(ts)
-
-
-class TestAudsleyOPA:
-    @staticmethod
-    def _point_test(supply):
-        def feasible(task, hp):
-            pts = scheduling_points(task, list(hp))
-            if not pts:
-                return False
-            w = fp_workload_array(task, list(hp), pts)
-            z = supply.supply_array(pts)
-            return bool((z >= w - 1e-9).any())
-
-        return feasible
-
-    def test_opa_finds_order_when_dm_works(self, ts):
-        order = audsley_opa(ts, self._point_test(LinearSupply(1.0, 0.0)))
-        assert order is not None
-        res = fp_schedulable_supply(ts, LinearSupply(1.0, 0.0), order)
-        assert res.schedulable
-
-    def test_opa_beats_rm_on_non_dm_optimal_case(self):
-        # Under reduced supply, OPA still finds an order whenever one exists;
-        # we verify the returned order passes the same test it optimised.
-        ts = TaskSet(
-            [Task("a", 1, 8, deadline=7), Task("b", 1, 8, deadline=7.5)]
-        )
-        supply = LinearSupply(0.5, 2.0)
-        order = audsley_opa(ts, self._point_test(supply))
-        assert order is not None
-        assert fp_schedulable_supply(ts, supply, order).schedulable
-
-    def test_opa_none_when_impossible(self):
-        ts = TaskSet([Task("a", 3, 4), Task("b", 3, 4.5, deadline=4)])
-        order = audsley_opa(ts, self._point_test(LinearSupply(1.0, 0.0)))
-        assert order is None
-
-    def test_opa_empty_taskset(self):
-        assert audsley_opa(TaskSet(), lambda t, hp: True) == ()
-
-    def test_opa_returns_permutation(self, ts):
-        order = audsley_opa(ts, self._point_test(LinearSupply(1.0, 0.0)))
-        assert sorted(t.name for t in order) == sorted(ts.names)

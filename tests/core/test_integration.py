@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import Overheads, SlotSchedule, SystemCurve, mode_quantum_bounds, quanta_feasible
+from repro.core import Overheads, SlotSchedule, SystemCurve, quanta_feasible
 from repro.core.minq import min_quantum
 from repro.model import Mode
 
@@ -36,12 +36,6 @@ class TestSystemCurve:
         q = SystemCurve(paper_part, "EDF").min_quanta(2.0)
         assert set(q) == set(Mode)
         assert all(v >= 0 for v in q.values())
-
-    def test_mode_quantum_bounds_convenience(self, paper_part):
-        direct = SystemCurve(paper_part, "EDF").min_quanta(2.0)
-        conv = mode_quantum_bounds(paper_part, "EDF", 2.0)
-        for m in Mode:
-            assert direct[m] == pytest.approx(conv[m])
 
 
 class TestQuantaFeasible:

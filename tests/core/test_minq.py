@@ -7,7 +7,6 @@ from repro.analysis import edf_schedulable_supply, fp_schedulable_supply, kernel
 from repro.core import (
     QuantumCurve,
     min_quantum,
-    min_quantum_detailed,
     min_quantum_edf,
     min_quantum_exact,
     min_quantum_fp,
@@ -130,20 +129,6 @@ class TestQuantumCurve:
     def test_wrong_order_rejected(self, ft_tasks):
         with pytest.raises(ValueError):
             QuantumCurve(ft_tasks, [Task("zz", 1, 5)])
-
-    def test_detailed_reports_binding_point(self, ft_tasks):
-        res = min_quantum_detailed(ft_tasks, "EDF", 2.0)
-        assert res.value == pytest.approx(min_quantum_edf(ft_tasks, 2.0))
-        assert res.binding_point is not None
-        assert res.binding_task is None  # EDF has no per-task attribution
-
-    def test_detailed_fp_names_binding_task(self, ft_tasks):
-        res = min_quantum_detailed(ft_tasks, "RM", 2.0)
-        assert res.binding_task in ft_tasks.names
-
-    def test_detailed_empty(self):
-        res = min_quantum_detailed(TaskSet(), "EDF", 2.0)
-        assert res.value == 0.0
 
 
 def _campaign_shaped_bins():

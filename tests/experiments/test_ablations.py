@@ -1,4 +1,4 @@
-"""Ablation study tests."""
+"""Ablation study tests: the ``ablate-*`` points' results."""
 
 import numpy as np
 import pytest
@@ -6,41 +6,51 @@ import pytest
 from repro.analysis import edf_schedulable_supply
 from repro.core import FeasibleRegion
 from repro.experiments.ablations import (
-    edf_vs_rm_regions,
-    exact_vs_linear_gap,
-    overhead_sensitivity,
-    partitioning_comparison,
-    slot_splitting_gain,
+    ablation_aggregator,
+    ablation_specs,
+    edf_vs_rm_specs,
+    exact_vs_linear_specs,
+    overhead_specs,
+    partitioning_specs,
+    slot_split_specs,
 )
 from repro.generators import generate_mixed_taskset
 from repro.model import Task, TaskSet
 from repro.partition import PartitionError, partition_by_modes
+from repro.runner import Aggregator, stream_campaign
 from repro.supply.slots import evenly_split_slots
+
+
+def results(specs):
+    """Each point's result dict, in spec order."""
+    return stream_campaign(specs, Aggregator([]), collect=True).results
 
 
 class TestExactVsLinear:
     def test_linear_always_upper_bounds_exact(self):
-        rows = exact_vs_linear_gap(periods=(0.5, 1.0, 2.0, 2.966))
+        rows = results(exact_vs_linear_specs(periods=(0.5, 1.0, 2.0, 2.966)))
         assert rows
-        for r in rows:
-            assert r.minq_linear >= r.minq_exact - 1e-6
-            assert r.gap >= -1e-6
+        gaps = [r["minq_linear"] - r["minq_exact"] for r in rows]
+        assert min(gaps) >= -1e-6
         # The bound is not tight: it gives quantum away somewhere.
-        assert any(r.gap > 1e-4 for r in rows)
+        assert max(gaps) > 1e-4
 
     def test_gap_ratio_nonnegative(self):
-        for r in exact_vs_linear_gap(periods=(1.0,)):
-            assert r.gap_ratio >= -1e-9
+        for r in results(exact_vs_linear_specs(periods=(1.0,))):
+            if r["minq_exact"] > 0:
+                gap = r["minq_linear"] - r["minq_exact"]
+                assert gap / r["minq_exact"] >= -1e-9
 
 
 class TestEdfVsRm:
     def test_edf_dominates(self):
-        edf, rm = edf_vs_rm_regions()
-        assert edf.algorithm == "EDF" and rm.algorithm == "RM"
-        assert edf.max_period_zero_overhead > rm.max_period_zero_overhead
-        assert edf.max_admissible_overhead > rm.max_admissible_overhead
+        specs = edf_vs_rm_specs()
+        assert [s.params["algorithm"] for s in specs] == ["EDF", "RM"]
+        edf, rm = results(specs)
+        assert edf["max_period_zero_overhead"] > rm["max_period_zero_overhead"]
+        assert edf["max_admissible_overhead"] > rm["max_admissible_overhead"]
         # Figure 4 points 1 and 2.
-        ratio = edf.max_period_zero_overhead / rm.max_period_zero_overhead
+        ratio = edf["max_period_zero_overhead"] / rm["max_period_zero_overhead"]
         assert ratio == pytest.approx(3.176 / 2.381, abs=0.01)
 
     def test_edf_never_loses_on_random_workloads(self):
@@ -63,40 +73,48 @@ class TestEdfVsRm:
 
 class TestPartitioning:
     def test_manual_and_heuristics_all_feasible(self):
-        rows = partitioning_comparison(heuristics=("worst-fit",))
+        rows = results(partitioning_specs(heuristics=("worst-fit",)))
         assert len(rows) == 2
         for r in rows:
-            assert r.max_period_zero_overhead > 0
+            assert r["max_period_zero_overhead"] > 0
 
     def test_worst_fit_close_to_manual(self):
-        rows = partitioning_comparison(heuristics=("worst-fit",))
-        manual, wf = rows
+        specs = partitioning_specs(heuristics=("worst-fit",))
+        assert [s.params["strategy"] for s in specs] == ["manual (paper)", "worst-fit"]
+        manual, wf = results(specs)
         # WFD balances utilization at least as well as the paper's manual
         # split for NF (max bin util <= 0.25 is impossible to beat: tau5).
-        assert wf.max_bin_utilization["NF"] <= manual.max_bin_utilization["NF"] + 1e-9
+        assert (
+            wf["max_bin_utilization"]["NF"]
+            <= manual["max_bin_utilization"]["NF"] + 1e-9
+        )
 
 
 class TestOverheadSensitivity:
     def test_monotone_decreasing_until_infeasible(self):
-        pts = overhead_sensitivity(otots=(0.0, 0.05, 0.1, 0.3))
-        feasible = [p for p in pts if p.max_period is not None]
-        periods = [p.max_period for p in feasible]
-        assert periods == sorted(periods, reverse=True)
-        assert pts[-1].max_period is None  # 0.3 > max admissible 0.201
-        assert pts[0].max_period == pytest.approx(3.176, abs=2e-3)  # Figure 4 point 1
+        periods = [
+            r["max_period"]
+            for r in results(overhead_specs(otots=(0.0, 0.05, 0.1, 0.3)))
+        ]
+        feasible = [p for p in periods if p is not None]
+        assert feasible == sorted(feasible, reverse=True)
+        assert periods[-1] is None  # 0.3 > max admissible 0.201
+        assert periods[0] == pytest.approx(3.176, abs=2e-3)  # Figure 4 point 1
 
 
 class TestSlotSplitting:
     def test_delay_shrinks_with_pieces(self):
-        rows = slot_splitting_gain(period=3.0, budget=1.0)
-        delays = [r.delay for r in rows]
+        rows = results(slot_split_specs(period=3.0, budget=1.0))
+        delays = [r["delay"] for r in rows]
         assert delays == sorted(delays, reverse=True)
         assert delays[0] == pytest.approx(2.0)
         assert delays[-1] == pytest.approx(0.5)
 
     def test_supply_never_degrades(self):
-        rows = slot_splitting_gain(period=3.0, budget=1.0, pieces_list=(1, 3))
-        assert rows[1].supply_at_half_period >= rows[0].supply_at_half_period
+        one, three = results(
+            slot_split_specs(period=3.0, budget=1.0, pieces_list=(1, 3))
+        )
+        assert three["supply_at_half_period"] >= one["supply_at_half_period"]
 
     def test_only_split_slots_host_a_short_deadline_task(self):
         tight = TaskSet([Task("tight", wcet=0.2, period=3.0, deadline=1.2)])
@@ -111,11 +129,11 @@ class TestSlotSplitting:
 
 class TestAblationSummary:
     def test_streams_all_studies_into_one_aggregate(self, tmp_path):
-        from repro.experiments.ablations import ablation_summary
-
-        agg = ablation_summary(
-            workers=1, state_path=tmp_path / "agg.json"
-        )
+        agg = stream_campaign(
+            ablation_specs(),
+            ablation_aggregator(),
+            state_path=tmp_path / "agg.json",
+        ).aggregator
         assert agg["minq_gap_ratio"].count > 0
         assert agg["minq_gap_ratio"].mean >= 0
         regions = agg["regions"]

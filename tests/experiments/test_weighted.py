@@ -7,12 +7,11 @@ import pytest
 from repro.experiments.weighted import (
     WEIGHTED_FAULT_AXES,
     WEIGHTED_SCHED_AXES,
-    compute_weighted,
     weighted_aggregator,
     weighted_curve_rows,
     weighted_specs,
 )
-from repro.runner import PointSpec
+from repro.runner import PointSpec, stream_campaign
 from repro.viz import format_curve_pivot
 
 TINY_SCHED = {
@@ -22,6 +21,14 @@ TINY_SCHED = {
     "rep": [0, 1],
 }
 TINY_FAULT = {"rate": [0.05], "u_total": [0.8], "rep": [0]}
+
+
+def run_weighted(sched_axes, fault_axes, **kwargs):
+    """The sweep as the ``weighted`` preset runs it: failing points stored."""
+    return stream_campaign(
+        weighted_specs(sched_axes, fault_axes), weighted_aggregator(),
+        workers=1, master_seed=3, on_error="store", **kwargs,
+    ).aggregator
 
 
 class TestSpecs:
@@ -72,8 +79,8 @@ class TestAggregation:
         assert agg["feasible_ratio"].mean == pytest.approx(0.5)
 
     def test_compute_weighted_end_to_end(self, tmp_path):
-        agg = compute_weighted(
-            TINY_SCHED, TINY_FAULT, workers=1, master_seed=3,
+        agg = run_weighted(
+            TINY_SCHED, TINY_FAULT,
             cache_dir=tmp_path / "cache", state_path=tmp_path / "agg.json",
         )
         summary = agg.summary()
@@ -84,11 +91,9 @@ class TestAggregation:
 
     def test_errors_are_excluded_not_fatal(self):
         # an impossible generated fault point: u_total far beyond feasibility
-        agg = compute_weighted(
+        agg = run_weighted(
             {"u_total": [0.6], "n": [6], "period_hyperperiod": [720.0], "rep": [0]},
             {"rate": [0.05], "u_total": [9.0], "rep": [0]},
-            workers=1,
-            master_seed=3,
         )
         assert agg["fault_coverage"].points == {}
         assert agg["feasible_ratio"].count == 1
@@ -96,7 +101,7 @@ class TestAggregation:
 
 class TestRendering:
     def test_curve_rows_and_pivot(self):
-        agg = compute_weighted(TINY_SCHED, TINY_FAULT, workers=1, master_seed=3)
+        agg = run_weighted(TINY_SCHED, TINY_FAULT)
         headers, rows = weighted_curve_rows(
             agg, "weighted_feasible", ["u_total", "n", "H"]
         )

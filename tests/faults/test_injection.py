@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.faults import Fault, FaultCampaign, FaultOutcome, run_campaign
+from repro.faults import Fault, FaultCampaign, FaultOutcome
 from repro.model import Mode
 
 
@@ -90,16 +90,6 @@ class TestExplicitFaults:
         )
         assert res.injected == 2
         assert res.injected == len(res.records)
-
-    def test_run_campaign_facade(self, paper_part, paper_config_b):
-        res = run_campaign(
-            paper_part, paper_config_b,
-            rate=0.05, horizon=paper_config_b.period * 20, seed=3,
-        )
-        assert res.injected >= 0
-        assert res.simulation.horizon == pytest.approx(
-            paper_config_b.period * 20
-        )
 
 
 class TestMissAccounting:

@@ -1,10 +1,8 @@
-"""Unit tests for cores, channels and the checker."""
+"""Unit tests for cores and lock-step channels."""
 
 import pytest
 
-from repro.model import Mode
-from repro.platform import Checker, Core, FaultEffect, LockstepChannel
-from repro.platform.modes import layout_for
+from repro.platform import Core, FaultEffect, LockstepChannel
 
 
 class TestCore:
@@ -60,48 +58,3 @@ class TestLockstepChannel:
         ch = LockstepChannel((2, 3))
         assert ch.contains(3)
         assert not ch.contains(0)
-
-
-class TestChecker:
-    def test_configure_and_classify_ft(self):
-        ck = Checker()
-        ck.configure(Mode.FT, layout_for(Mode.FT).channels)
-        for core in range(4):
-            idx, effect = ck.classify_fault(core)
-            assert idx == 0
-            assert effect is FaultEffect.MASKED
-
-    def test_classify_fs_maps_channels(self):
-        ck = Checker()
-        ck.configure(Mode.FS, layout_for(Mode.FS).channels)
-        assert ck.classify_fault(0)[0] == 0
-        assert ck.classify_fault(1)[0] == 0
-        assert ck.classify_fault(2)[0] == 1
-        assert ck.classify_fault(3)[0] == 1
-        assert ck.classify_fault(2)[1] is FaultEffect.SILENCED
-
-    def test_classify_nf_one_to_one(self):
-        ck = Checker()
-        ck.configure(Mode.NF, layout_for(Mode.NF).channels)
-        for core in range(4):
-            idx, effect = ck.classify_fault(core)
-            assert idx == core
-            assert effect is FaultEffect.CORRUPTED
-
-    def test_layout_must_cover_all_cores(self):
-        ck = Checker()
-        # Cores 0..1 alone form a valid (2-core) platform; a gap does not.
-        with pytest.raises(ValueError, match="exactly once"):
-            ck.configure(
-                Mode.FS, (LockstepChannel((0, 1)), LockstepChannel((3,)))
-            )
-
-    def test_unconfigured_checker_raises(self):
-        with pytest.raises(RuntimeError):
-            Checker().channel_of(0)
-
-    def test_mode_property_tracks_configuration(self):
-        ck = Checker()
-        assert ck.mode is None
-        ck.configure(Mode.NF, layout_for(Mode.NF).channels)
-        assert ck.mode is Mode.NF

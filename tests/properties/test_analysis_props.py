@@ -1,8 +1,8 @@
 """Property-based tests for the schedulability analyses.
 
 Cross-validates independent implementations: point tests vs response-time
-analysis for FP; QPA vs the full processor-demand criterion for EDF; and
-basic demand-function laws.
+analysis for FP, RM acceptance vs EDF acceptance, and basic
+demand-function laws.
 """
 
 from hypothesis import given, settings
@@ -13,7 +13,6 @@ from repro.analysis import (
     edf_schedulable_dedicated,
     fp_response_time,
     fp_schedulable_dedicated,
-    qpa_schedulable,
     rate_monotonic,
 )
 from repro.model import Task, TaskSet
@@ -42,12 +41,6 @@ def test_fp_point_test_agrees_with_rta(ts):
         for i, t in enumerate(order)
     )
     assert point.schedulable == rta_ok
-
-
-@given(integer_tasksets())
-@settings(max_examples=100, deadline=None)
-def test_qpa_agrees_with_processor_demand(ts):
-    assert qpa_schedulable(ts) == edf_schedulable_dedicated(ts).schedulable
 
 
 @given(integer_tasksets())

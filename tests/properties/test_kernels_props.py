@@ -15,7 +15,6 @@ from repro.analysis import (
     deadline_set,
     fp_schedulable_dedicated,
     kernels,
-    qpa_schedulable,
     edf_schedulable_dedicated,
 )
 from repro.core import min_quantum
@@ -47,13 +46,11 @@ def _preset_taskset(preset: str, seed: int, n: int, u_total: float):
 
 def _assert_fast_matches_exact(ts, period: float, algorithm: str) -> None:
     with kernels.kernels_forced(True):
-        fast_qpa = qpa_schedulable(ts)
         fast_edf = edf_schedulable_dedicated(ts)
         fast_fp = fp_schedulable_dedicated(ts, "DM").schedulable
         fast_dl = deadline_set(ts, 3600.0)
         fast_q = min_quantum(ts, algorithm, period)
     with kernels.kernels_forced(False):
-        assert qpa_schedulable(ts) is fast_qpa
         exact_edf = edf_schedulable_dedicated(ts)
         assert exact_edf.schedulable == fast_edf.schedulable
         assert exact_edf.points_checked == fast_edf.points_checked

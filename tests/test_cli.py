@@ -77,6 +77,63 @@ class TestSimulate:
         assert "faults injected" in capsys.readouterr().out
 
 
+def exit_of(argv, capsys):
+    """``(status, stderr lines)`` of ``repro argv`` as the interpreter ends
+    it: a ``SystemExit`` message goes to stderr with status 1. Any other
+    exception escapes, and fails the test as a traceback would."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    code, err = exc.value.code, capsys.readouterr().err
+    if isinstance(code, str):
+        code, err = 1, err + code + "\n"
+    return code, err.splitlines()
+
+
+BAD_TASKSETS = {
+    "wcet-over-period": '{"tasks": [{"name": "a", "wcet": 12, "period": 10}]}',
+    "jitter": '{"tasks": [{"name": "a", "wcet": 1, "period": 10, "jitter": 7}]}',
+    "not-json": "{not json",
+    "not-an-object": "[1, 2]",
+    "task-not-an-object": '{"tasks": [1]}',
+    "missing-field": '{"tasks": [{"name": "a", "period": 10}]}',
+    "wcet-not-a-number": '{"tasks": [{"name": "a", "wcet": "x", "period": 10}]}',
+    "missing": None,
+}
+
+
+class TestBadInput:
+    """Bad input ends in one stderr line naming its source, no traceback."""
+
+    @pytest.mark.parametrize("command", ["analyze", "design", "region", "simulate"])
+    @pytest.mark.parametrize("case", sorted(BAD_TASKSETS))
+    def test_bad_taskset_file(self, command, case, tmp_path, capsys):
+        path = tmp_path / f"{case}.json"
+        if BAD_TASKSETS[case] is not None:
+            path.write_text(BAD_TASKSETS[case])
+        status, err = exit_of([command, str(path)], capsys)
+        assert status != 0
+        assert len(err) == 1
+        assert err[0].startswith(f"{command}: {path}: ")
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["simulate", "--cycles", "0"], "--cycles"),
+            (["simulate", "--cycles", "-5"], "--cycles"),
+            (["simulate", "--fault-rate", "-1"], "--fault-rate"),
+            (["region", "--n", "1"], "--n"),
+            (["region", "--p-max", "-1"], "--p-max"),
+            (["region", "--width", "0"], "--width"),
+            (["design", "--otot", "-1"], "--otot"),
+        ],
+    )
+    def test_out_of_range_argument(self, argv, option, ts_file, capsys):
+        status, err = exit_of([argv[0], ts_file, *argv[1:]], capsys)
+        assert status != 0
+        assert not any("Traceback" in line for line in err)
+        assert err[-1].startswith(f"repro {argv[0]}: error: argument {option}: ")
+
+
 class TestPaper:
     def test_paper_command(self, capsys):
         assert main(["paper"]) == 0
@@ -614,7 +671,7 @@ class TestAdaptiveCampaign:
 
 class TestErrors:
     def test_missing_file(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
+        with pytest.raises(SystemExit, match="nope.json: No such file"):
             main(["analyze", str(tmp_path / "nope.json")])
 
     def test_unknown_command(self):

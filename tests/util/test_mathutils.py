@@ -7,15 +7,11 @@ import pytest
 
 from repro.util import (
     EPS,
-    approx_ge,
     approx_le,
     feq,
-    fgt,
-    flt,
     fuzzy_ceil,
     fuzzy_floor,
     lcm_fractions,
-    lcm_ints,
     to_fraction,
 )
 
@@ -33,26 +29,10 @@ class TestFloatComparisons:
     def test_feq_rejects_distinct(self):
         assert not feq(1.0, 1.001)
 
-    def test_flt_strict(self):
-        assert flt(1.0, 2.0)
-        assert not flt(2.0, 1.0)
-
-    def test_flt_rejects_equal_within_tolerance(self):
-        assert not flt(1.0, 1.0 + 1e-12)
-
-    def test_fgt_strict(self):
-        assert fgt(2.0, 1.0)
-        assert not fgt(1.0, 2.0)
-
     def test_approx_le(self):
         assert approx_le(1.0, 1.0)
         assert approx_le(1.0 + 1e-12, 1.0)
         assert not approx_le(1.1, 1.0)
-
-    def test_approx_ge(self):
-        assert approx_ge(1.0, 1.0)
-        assert approx_ge(1.0 - 1e-12, 1.0)
-        assert not approx_ge(0.9, 1.0)
 
 
 class TestFuzzyRounding:
@@ -110,16 +90,6 @@ class TestToFraction:
 
 
 class TestLcm:
-    def test_lcm_ints_basic(self):
-        assert lcm_ints([4, 6]) == 12
-
-    def test_lcm_ints_empty(self):
-        assert lcm_ints([]) == 1
-
-    def test_lcm_ints_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            lcm_ints([4, 0])
-
     def test_lcm_fractions_integers(self):
         assert lcm_fractions([Fraction(6), Fraction(8), Fraction(12)]) == 24
 

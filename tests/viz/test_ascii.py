@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.supply import LinearSupply, PeriodicSlotSupply
-from repro.viz import ascii_plot, render_region, render_supply
+from repro.viz import ascii_plot, render_region
 
 
 class TestAsciiPlot:
@@ -68,13 +67,3 @@ class TestRenders:
             ps, {"EDF": 0.2 - 0.1 * ps, "RM": 0.1 - 0.1 * ps}, otot=0.05
         )
         assert "P (period)" in out and "Eq. (15)" in out
-
-    def test_render_supply(self):
-        out = render_supply(
-            {
-                "exact": PeriodicSlotSupply(4.0, 2.0),
-                "linear": LinearSupply.from_slot(4.0, 2.0),
-            },
-            horizon=12.0,
-        )
-        assert "Z(t)" in out and "exact" in out
