@@ -30,12 +30,11 @@ Commands
     recomputes nothing and resumes aggregation from a snapshot under
     ``<cache-dir>/aggregates`` (override with ``--state``); ``--out`` writes
     the canonical spec/result JSON and ``--agg-out`` the canonical aggregate
-    state (what CI diffs to guard determinism). ``--shard i/N`` runs one
-    deterministic digest-keyed shard of the grid (multi-host fan-out); its
-    snapshot carries a shard manifest for ``repro merge``. ``--batch N``
-    packs N points into each worker task (default: auto-sized) — batching
-    cuts IPC overhead on cheap-point sweeps without changing a single
-    output byte. ``--telemetry DIR`` records a span trace
+    state. ``--shard i/N`` runs one deterministic digest-keyed shard of the
+    grid (multi-host fan-out); its snapshot carries a shard manifest for
+    ``repro merge``. ``--batch N`` packs N points into each worker task
+    (default: auto-sized) — batching cuts IPC overhead on cheap-point
+    sweeps without changing a single output byte. ``--telemetry DIR`` records a span trace
     (``trace.ndjson``) and run manifest (``run-manifest.json``) for
     ``repro profile`` — observation only, snapshots stay byte-identical.
     See docs/campaigns.md.
@@ -137,6 +136,7 @@ _positive_int = _bounded(int, lambda v: v >= 1, ">= 1")
 _sweep_points = _bounded(int, lambda v: v >= 2, ">= 2")
 _positive = _bounded(float, lambda v: math.isfinite(v) and v > 0, "finite and > 0")
 _nonneg = _bounded(float, lambda v: math.isfinite(v) and v >= 0, "finite and >= 0")
+_port = _bounded(int, lambda v: 0 <= v <= 65535, "in 0..65535")
 
 
 def _partition(ts: TaskSet, heuristic: str):
@@ -757,7 +757,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="flag form of the positional preset",
     )
     p.add_argument(
-        "--workers", type=int, default=None,
+        "--workers", type=_positive_int, default=None,
         help="process-pool size (default: cores - 1; results are identical "
              "for any value)",
     )
@@ -812,7 +812,7 @@ def build_parser() -> argparse.ArgumentParser:
              "); the snapshot records a manifest for 'repro merge'",
     )
     p.add_argument(
-        "--batch", type=int, default=None, metavar="N",
+        "--batch", type=_positive_int, default=None, metavar="N",
         help="points per worker task (default: auto-sized; results are "
              "bit-identical for any value)",
     )
@@ -889,11 +889,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="bind address (default 127.0.0.1; 0.0.0.0 exposes the server)",
     )
     p.add_argument(
-        "--port", type=int, default=8765,
+        "--port", type=_port, default=8765,
         help="bind port (0 picks a free one; default 8765)",
     )
     p.add_argument(
-        "--workers", type=int, default=None,
+        "--workers", type=_positive_int, default=None,
         help="default process-pool size per job (jobs may override)",
     )
     p.add_argument(

@@ -18,7 +18,6 @@ from repro.faults.model import (
     FaultOutcome,
     FaultRecord,
     PoissonFaultGenerator,
-    deterministic_faults,
 )
 
 __all__ = [
@@ -26,7 +25,6 @@ __all__ = [
     "FaultOutcome",
     "FaultRecord",
     "PoissonFaultGenerator",
-    "deterministic_faults",
     "FaultCampaign",
     "FaultCampaignResult",
 ]

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -73,15 +72,6 @@ class FaultRecord:
     processor: str | None
     victim: str | None = None
     detail: str = ""
-
-
-def deterministic_faults(
-    times_and_cores: Iterable[tuple[float, int]],
-    *,
-    core_count: int = 4,
-) -> list[Fault]:
-    """Build a fault list from explicit ``(time, core)`` pairs."""
-    return [Fault(t, c, core_count) for t, c in times_and_cores]
 
 
 class PoissonFaultGenerator:

@@ -7,7 +7,7 @@ ablations additionally sweep over synthetic task sets produced here:
   :func:`randfixedsum` (Stafford's algorithm, the standard unbiased
   generator of Emberson et al.);
 * periods: :func:`uniform_periods`, :func:`loguniform_periods`,
-  :func:`harmonic_periods`, :func:`hyperperiod_limited_periods`;
+  :func:`hyperperiod_limited_periods`;
 * mode mixes: :func:`assign_modes_by_share`;
 * one-call task-set factories: :func:`generate_taskset`,
   :func:`generate_mixed_taskset`.
@@ -15,7 +15,6 @@ ablations additionally sweep over synthetic task sets produced here:
 
 from repro.generators.modes import assign_modes_by_share
 from repro.generators.periods import (
-    harmonic_periods,
     hyperperiod_limited_periods,
     loguniform_periods,
     uniform_periods,
@@ -30,7 +29,6 @@ __all__ = [
     "randfixedsum",
     "uniform_periods",
     "loguniform_periods",
-    "harmonic_periods",
     "hyperperiod_limited_periods",
     "assign_modes_by_share",
     "generate_taskset",

@@ -1,10 +1,11 @@
 """Period generators.
 
 Real-time experiments conventionally draw periods log-uniformly (Emberson et
-al.) so every order of magnitude is equally represented; uniform and
-harmonic generators are provided for sensitivity studies. All generators can
-round periods to a granularity ``g`` (keeping hyperperiods manageable for
-the EDF ``dlSet`` computations).
+al.) so every order of magnitude is equally represented; a uniform
+generator is provided for sensitivity studies, and a hyperperiod-limited one
+keeps the exact analyses tractable. The uniform and log-uniform generators
+can round periods to a granularity ``g`` (keeping hyperperiods manageable
+for the EDF ``dlSet`` computations).
 """
 
 from __future__ import annotations
@@ -114,24 +115,3 @@ def _period_lattice(
     divisors.flags.writeable = False
     probabilities.flags.writeable = False
     return divisors, probabilities
-
-
-def harmonic_periods(
-    n: int,
-    rng: np.random.Generator,
-    *,
-    base: float = 10.0,
-    max_doublings: int = 5,
-) -> np.ndarray:
-    """``n`` periods of the form ``base * 2^k`` — pairwise harmonic.
-
-    Harmonic sets have hyperperiod ``base * 2^max_k`` and RM utilization
-    bound 1.0, making them a useful best-case ablation.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1: got {n}")
-    check_positive("base", base)
-    if max_doublings < 0:
-        raise ValueError("max_doublings must be >= 0")
-    ks = rng.integers(0, max_doublings + 1, n)
-    return base * (2.0 ** ks)

@@ -20,10 +20,7 @@ which campaign produced the state.
 from __future__ import annotations
 
 import hashlib
-import json
-import os
 import threading
-from pathlib import Path
 from typing import Any, Mapping
 
 from repro.runner.aggregate import (
@@ -127,22 +124,6 @@ class SnapshotQuery:
                 f"{where} has a malformed aggregate state: {exc}"
             ) from None
         return cls(preset, aggregator)
-
-    @classmethod
-    def from_file(
-        cls, path: "str | os.PathLike", preset: "PresetSpec | str"
-    ) -> "SnapshotQuery":
-        """Load and validate a snapshot file."""
-        path = Path(path)
-        try:
-            snap = json.loads(path.read_text())
-        except OSError as exc:
-            raise QueryError(f"cannot read snapshot {path}: {exc}") from None
-        except ValueError as exc:
-            raise QueryError(
-                f"snapshot {path} is not valid JSON: {exc}"
-            ) from None
-        return cls.from_snapshot(snap, preset, where=path)
 
     # -- identity ----------------------------------------------------------
 

@@ -40,7 +40,6 @@ from repro.runner.aggregate import (
     SlotAccumulator,
     WeightedMeanAccumulator,
     accumulator_from_state,
-    categorical_metric,
     curve_metric,
     extrema_metric,
     histogram_metric,
@@ -112,7 +111,6 @@ from repro.runner.stream import (
     StreamResult,
     StreamStats,
     check_snapshot_compat,
-    fold_rows,
     save_snapshot,
     snapshot_dict,
     stream_campaign,
@@ -156,7 +154,6 @@ __all__ = [
     "axis_values",
     "canonical_json",
     "check_snapshot_compat",
-    "categorical_metric",
     "curve_metric",
     "default_workers",
     "evaluate_batch",
@@ -166,7 +163,6 @@ __all__ = [
     "experiment",
     "experiments",
     "extrema_metric",
-    "fold_rows",
     "get_experiment",
     "get_preset",
     "grid_digest",

@@ -915,28 +915,6 @@ def curve_metric(
     return Metric(name, CurveAccumulator(sub), fold)
 
 
-def categorical_metric(
-    name: str,
-    value: str | Extractor,
-    *,
-    experiment: str | None = None,
-) -> Metric:
-    """Exact per-category counts of ``value`` over points.
-
-    ``value`` extracts either a category name or a whole
-    ``{category: count}`` mapping from each result (the per-point outcome
-    taxonomy); None values skip the point.
-    """
-    pull = _guarded(experiment, _extractor(value))
-
-    def fold(acc: Accumulator, spec: PointSpec, result: Any) -> None:
-        v = pull(spec, result)
-        if v is not None:
-            acc.fold(v)  # type: ignore[attr-defined]
-
-    return Metric(name, CategoricalCountAccumulator(), fold)
-
-
 def slot_metric(
     name: str,
     key: Callable[[PointSpec], str],
@@ -967,7 +945,6 @@ __all__ = [
     "SlotAccumulator",
     "WeightedMeanAccumulator",
     "accumulator_from_state",
-    "categorical_metric",
     "curve_metric",
     "extrema_metric",
     "histogram_metric",

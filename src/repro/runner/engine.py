@@ -66,7 +66,7 @@ class CampaignResult:
 
     def to_json(self) -> str:
         """Canonical JSON of specs+results only — identical across worker
-        counts and cache states, which is what CI's determinism check diffs."""
+        counts and cache states (the ``--out`` rows)."""
         return canonical_json(
             [
                 {"spec": spec.to_dict(), "result": result}

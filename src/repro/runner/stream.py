@@ -894,16 +894,6 @@ class _CampaignRun:
         )
 
 
-def fold_rows(
-    aggregator: Aggregator, rows: Iterable[tuple[PointSpec, Any]]
-) -> Aggregator:
-    """Fold already-materialized ``(spec, result)`` pairs (post-hoc path)."""
-    for spec, result in rows:
-        if isinstance(result, dict) and "error" in result:
-            continue
-        aggregator.fold(spec, result)
-    return aggregator
-
 
 __all__ = [
     "SNAPSHOT_SCHEMA",
@@ -913,7 +903,6 @@ __all__ = [
     "check_snapshot_compat",
     "StreamResult",
     "StreamStats",
-    "fold_rows",
     "save_snapshot",
     "snapshot_dict",
     "stream_campaign",

@@ -96,6 +96,14 @@ class JobConfig:
             raise JobError(
                 f"unknown strategy {strategy!r}; known: {'/'.join(_STRATEGIES)}"
             )
+        for name in ("workers", "batch"):
+            value = payload.get(name)
+            if value is not None and (
+                isinstance(value, bool) or not isinstance(value, int) or value < 1
+            ):
+                raise JobError(
+                    f"'{name}' must be a positive integer or null: got {value!r}"
+                )
         try:
             return cls(
                 preset,

@@ -5,7 +5,7 @@ ever touching what the run *computes*: recorders hold wall-clock spans
 (``time.perf_counter``), exact integer counters and last-value gauges, and
 none of that state is readable by the engine, the accumulators, or the
 snapshot writer. Campaign snapshots are therefore byte-identical with
-telemetry enabled or disabled — the contract CI enforces with ``cmp``.
+telemetry enabled or disabled (``tests/invariance/test_matrix.py``).
 
 Activation is **thread-local**: :func:`activate` installs a
 :class:`Telemetry` recorder for the current thread only, so two server

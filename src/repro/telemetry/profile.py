@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 
 @dataclass
@@ -182,11 +182,6 @@ def render_profile(profile: TraceProfile, *, top: int = 40) -> str:
     return "\n".join(lines)
 
 
-def profile_paths(directory: "str | Path") -> "Iterable[Path]":
-    """All ``trace.ndjson`` files under ``directory`` (sorted)."""
-    return sorted(Path(directory).rglob("trace.ndjson"))
-
-
 def manifest_summary(manifest: Mapping[str, Any]) -> str:
     """One-line digest of a run manifest for the profile footer."""
     bits: list[str] = []
@@ -209,6 +204,5 @@ __all__ = [
     "TraceProfile",
     "load_trace",
     "manifest_summary",
-    "profile_paths",
     "render_profile",
 ]

@@ -12,6 +12,7 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dependability import outcome_curve_metric
 from repro.runner import (
     Aggregator,
     CategoricalCountAccumulator,
@@ -19,7 +20,6 @@ from repro.runner import (
     PointSpec,
     accumulator_from_state,
     canonical_json,
-    categorical_metric,
     merge_states,
 )
 
@@ -127,14 +127,15 @@ class TestCategoricalMergeContract:
     def test_merge_states_cross_process_path(self, xs, ys):
         # shard snapshots merge via serialized states, no fold rules
         def agg(seq):
-            a = Aggregator([categorical_metric("outcomes", "outcomes")])
-            for i, (_, v) in enumerate(seq):
+            a = Aggregator([outcome_curve_metric("outcomes", "bin", "outcomes")])
+            for i, (k, v) in enumerate(seq):
                 a.fold(
-                    PointSpec("dependability", {"rep": i}), {"outcomes": v}
+                    PointSpec("dependability", {"rep": i, "bin": k}),
+                    {"outcomes": v},
                 )
             return a
 
-        left, right = agg(xs), agg([(k, v) for k, v in ys])
+        left, right = agg(xs), agg(ys)
         via_states = merge_states(left.state_dict(), right.state_dict())
         direct = left.merge(right).state_dict()
         assert canonical_json(via_states) == canonical_json(direct)

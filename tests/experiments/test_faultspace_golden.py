@@ -1,8 +1,8 @@
 """Byte-identity regression for faultspace campaigns over all five scenarios.
 
-CI's ``faultspace-smoke`` job compares a merged sharded run against an
-unsharded one, and both come from the same code, so it cannot notice a
-simulator change that moves the bytes. The grid below injects 681 faults
+The invariance matrix (``tests/invariance/test_matrix.py``) compares a
+faultspace run against the same grid run another way, and both come from
+the same code, so it cannot notice a simulator change that moves the bytes. The grid below injects 681 faults
 over all five fault scenarios and produces all four outcomes. Its
 ``--state`` snapshot was captured, with the fast kernels on and off, before
 the simulator's hot path was rewritten (template-walk windows, one trace

@@ -1,11 +1,13 @@
 """Byte-identity regression for online campaigns through live admission.
 
-The CI ``online-smoke`` grid admits every arrival it offers, so it never
-reaches the admission controller's rejection path. The grid below offers
-513 arrivals, admits 475 and has one infeasible point. Its ``--state``
-snapshot was captured before the controller kept per-bin ``minQ`` values
-between decisions, with the fast kernels on and off and with 2 workers;
-admission changes must keep it byte-for-byte.
+The invariance matrix (``tests/invariance/test_matrix.py``) runs this grid
+as its ``online`` row, but it compares the code with itself, so it cannot
+notice an admission change that moves the bytes. The grid offers 513
+arrivals, admits 475 and has one infeasible point, so it reaches the
+admission controller's rejection path. Its ``--state`` snapshot was
+captured before the controller kept per-bin ``minQ`` values between
+decisions, with the fast kernels on and off and with 2 workers; admission
+changes must keep it byte-for-byte.
 """
 
 import hashlib

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.faults import Fault, FaultOutcome, PoissonFaultGenerator, deterministic_faults
+from repro.faults import Fault, FaultOutcome, PoissonFaultGenerator
 
 
 class TestFault:
@@ -31,15 +31,6 @@ class TestFault:
 
     def test_equality_ignores_core_count(self):
         assert Fault(1.0, 2) == Fault(1.0, 2, core_count=8)
-
-    def test_deterministic_builder(self):
-        faults = deterministic_faults([(1.0, 0), (2.0, 3)])
-        assert [f.time for f in faults] == [1.0, 2.0]
-        assert [f.core for f in faults] == [0, 3]
-
-    def test_deterministic_builder_with_core_count(self):
-        faults = deterministic_faults([(1.0, 6)], core_count=8)
-        assert faults[0].core == 6
 
 
 class TestPoissonGenerator:

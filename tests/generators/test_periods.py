@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.generators import (
-    harmonic_periods,
     hyperperiod_limited_periods,
     loguniform_periods,
     uniform_periods,
@@ -76,22 +75,6 @@ class TestLogUniformPeriods:
     def test_granularity(self, rng):
         p = loguniform_periods(50, rng, low=10, high=100, granularity=1.0)
         assert np.allclose(p, np.round(p))
-
-
-class TestHarmonicPeriods:
-    def test_all_powers_of_two_times_base(self, rng):
-        p = harmonic_periods(100, rng, base=10, max_doublings=4)
-        ratios = p / 10.0
-        assert np.allclose(np.log2(ratios), np.round(np.log2(ratios)))
-
-    def test_pairwise_harmonic(self, rng):
-        p = sorted(harmonic_periods(20, rng, base=5, max_doublings=3))
-        for small, large in zip(p, p[1:]):
-            assert (large / small) == pytest.approx(round(large / small))
-
-    def test_rejects_negative_doublings(self, rng):
-        with pytest.raises(ValueError):
-            harmonic_periods(5, rng, max_doublings=-1)
 
 
 class TestHyperperiodLimitedPeriods:

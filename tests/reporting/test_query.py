@@ -45,11 +45,6 @@ class TestValidation:
         query = SnapshotQuery.from_snapshot(snap, "sched")
         assert query.aggregator.state_dict() == aggregator.state_dict()
 
-    def test_from_file(self, sched_snapshot):
-        _snap, path = sched_snapshot
-        query = SnapshotQuery.from_file(path, "sched")
-        assert query.preset.name == "sched"
-
     def test_wrong_preset_refused_with_merge_message(self, sched_snapshot):
         snap, _path = sched_snapshot
         with pytest.raises(
@@ -90,14 +85,6 @@ class TestValidation:
     def test_non_object_snapshot_refused(self):
         with pytest.raises(QueryError, match="not a snapshot object"):
             SnapshotQuery.from_snapshot([1, 2], "sched")
-
-    def test_unreadable_file_refused(self, tmp_path):
-        with pytest.raises(QueryError, match="cannot read snapshot"):
-            SnapshotQuery.from_file(tmp_path / "missing.json", "sched")
-        bad = tmp_path / "bad.json"
-        bad.write_text("{nope")
-        with pytest.raises(QueryError, match="not valid JSON"):
-            SnapshotQuery.from_file(bad, "sched")
 
 
 class TestQueries:

@@ -354,27 +354,6 @@ class TestErrors:
         assert agg_bytes(batched) == agg_bytes(unbatched)
 
 
-class TestFoldRows:
-    def test_post_hoc_fold_matches_streaming(self):
-        from repro.runner import fold_rows
-
-        specs = grid_specs("schedulability", SCHED_AXES)
-        campaign = run_campaign(specs, workers=1, master_seed=5)
-        post_hoc = fold_rows(sched_aggregator(), campaign.rows())
-        streamed = stream_campaign(
-            specs, sched_aggregator(), workers=1, master_seed=5
-        )
-        assert post_hoc.state_dict() == streamed.aggregator.state_dict()
-
-    def test_error_rows_are_skipped(self):
-        from repro.runner import fold_rows, mean_metric
-
-        agg = Aggregator([mean_metric("d", "delay")])
-        spec = PointSpec("ablate-slot-split", {"pieces": 1})
-        fold_rows(agg, [(spec, {"delay": 1.0}), (spec, {"error": "boom"})])
-        assert agg["d"].count == 1
-
-
 class TestCacheRepair:
     def test_corrupt_cache_entry_recomputed_and_overwritten(self, tmp_path):
         """A truncated/corrupt cache file must not crash a campaign: the

@@ -11,7 +11,7 @@ from repro.telemetry import (
     load_trace,
     render_profile,
 )
-from repro.telemetry.profile import manifest_summary, profile_paths
+from repro.telemetry.profile import manifest_summary
 
 
 def write_trace(path, *, summary=True):
@@ -114,11 +114,6 @@ class TestRender:
         text = render_profile(profile, top=2)
         outside = text.split("outside the root span:")[1]
         assert len(outside.strip().splitlines()) == 2
-
-    def test_profile_paths_finds_traces(self, tmp_path):
-        write_trace(tmp_path / "a" / "trace.ndjson")
-        write_trace(tmp_path / "b" / "trace.ndjson")
-        assert len(list(profile_paths(tmp_path))) == 2
 
 
 class TestManifestSummary:
