@@ -28,8 +28,8 @@ as a smoke step:
     PYTHONPATH=src python benchmarks/bench_telemetry.py --smoke
 
 The sweep runs inline (``workers=1``) because that is the worst case for
-recorder overhead: every span/counter lands on the measured thread, with
-no pool IPC to hide behind.
+recorder overhead: every span lands on the measured thread, with no pool
+IPC to hide behind.
 """
 
 from __future__ import annotations
@@ -67,11 +67,9 @@ def run_once(points: int) -> tuple[float, str]:
 
 
 #: What one recorder call of each kind is: spans into the trace sink and
-#: into a per-batch collector, counters, gauges, the engine's per-point
-#: collector swap, and a collector's creation, export and absorption.
-KINDS = (
-    "sink_span", "span", "count", "gauge", "activate", "new", "export", "absorb",
-)
+#: into a per-batch collector, the engine's per-point collector swap, and a
+#: collector's creation, export and absorption.
+KINDS = ("sink_span", "span", "activate", "new", "export", "absorb")
 
 CALLS: Counter = Counter()
 
@@ -85,14 +83,6 @@ class CountingTelemetry(Telemetry):
     def __init__(self, sink: "TraceSink | None" = None):
         super().__init__(sink)
         CALLS["new"] += 1
-
-    def count(self, name: str, n: int = 1) -> None:
-        CALLS["count"] += 1
-        super().count(name, n)
-
-    def gauge(self, name: str, value: float) -> None:
-        CALLS["gauge"] += 1
-        super().gauge(name, value)
 
     def _finish(self, path, started, duration, attrs) -> None:
         CALLS["span" if self._sink is None else "sink_span"] += 1
@@ -170,8 +160,6 @@ def price_calls(delta: dict, trace_path: Path) -> dict[str, float]:
     previous = telemetry.activate(scratch)
     try:
         prices["span"] = seconds_per_call(one_span)
-        prices["count"] = seconds_per_call(lambda: telemetry.count("kernels.fast"))
-        prices["gauge"] = seconds_per_call(lambda: telemetry.gauge("gauge", 1.0))
         prices["activate"] = seconds_per_call(lambda: telemetry.activate(scratch))
         sink = TraceSink(trace_path)
         telemetry.activate(Telemetry(sink))

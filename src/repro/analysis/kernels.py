@@ -23,8 +23,9 @@ the scale ``Dt``. The pass succeeds only when
   the floats ``k*T + D`` the fallback path computes.
 
 Otherwise :func:`rescale` returns ``None`` and callers keep the existing
-float path — kernel selection is per task set, per call, with module-level
-fast/fallback counters the campaign engine aggregates into its stats line.
+float path — kernel selection is per task set, per call, with per-thread
+fast/fallback counters whose per-batch deltas the campaign engine carries
+into its run record and stats line.
 
 :func:`extend` derives the time base of a set plus one task from the
 set's own, without a rescale: the scale and the hyperperiod are lcms, the
@@ -74,7 +75,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro import telemetry
 from repro.model import Task
 
 #: Scaled times beyond this cannot be represented exactly as floats (and
@@ -152,7 +152,6 @@ class kernels_forced:
 def note_selection(fast: bool) -> None:
     """Record one kernel selection (entry points call this once per call)."""
     _counters.counts["fast" if fast else "fallback"] += 1
-    telemetry.count("kernels.fast" if fast else "kernels.fallback")
 
 
 def kernel_counters() -> dict[str, int]:

@@ -59,9 +59,9 @@ Commands
     curve/taxonomy/summary questions through a content-addressed cache.
     Identical job submissions are deduplicated (the job id is the
     canonical request digest). ``--access-log FILE`` writes one NDJSON
-    record per request (``-`` for stderr); ``GET /metrics`` and
-    ``GET /jobs/{id}/telemetry`` expose server-wide and per-job
-    telemetry. See docs/campaigns.md.
+    record per request (``-`` for stderr); ``GET /metrics`` sums the
+    jobs' run counters and ``GET /jobs/{id}/telemetry`` serves a job's
+    run manifest. See docs/campaigns.md.
 ``profile <trace-dir-or-file> [--top N] [--min-coverage X]``
     Render a ``--telemetry`` trace as an ascii phase tree with the
     sibling run-manifest summary; ``--min-coverage`` gates (exit 1) when

@@ -17,7 +17,6 @@ import tempfile
 from pathlib import Path
 from typing import Any, Iterable
 
-from repro import telemetry
 from repro.runner.spec import PointSpec
 
 #: Bump when the record layout changes; old records become misses.
@@ -67,14 +66,12 @@ class ResultCache:
         try:
             record = json.loads(path.read_text())
         except (OSError, ValueError):
-            telemetry.count("cache.miss")
             return None
         # A truncated or overwritten file can parse to a non-dict (e.g. a
         # bare number cut from a larger record) — that's a miss too, so a
         # corrupt entry is recomputed and overwritten mid-campaign instead
         # of crashing it.
         if not isinstance(record, dict):
-            telemetry.count("cache.miss")
             return None
         if (
             record.get("schema") != CACHE_SCHEMA
@@ -82,9 +79,7 @@ class ResultCache:
             or record.get("master_seed") != master_seed
             or "result" not in record
         ):
-            telemetry.count("cache.miss")
             return None
-        telemetry.count("cache.hit")
         return record["result"]
 
     def put(
@@ -106,7 +101,6 @@ class ResultCache:
             "elapsed": elapsed,
         }
         atomic_write_text(path, json.dumps(record, sort_keys=True))
-        telemetry.count("cache.write")
         return path
 
     def put_many(

@@ -109,7 +109,7 @@ def evaluate_batch(
     results, this batch's fast/fallback kernel-selection counts (see
     :func:`repro.analysis.kernels.kernel_counters`), and — when the payload
     carries a truthy third element — this batch's telemetry export
-    (counters, span phases, CPU seconds), recorded into a private
+    (span phases, CPU seconds), recorded into a private
     per-batch collector so pool workers need no shared state. Without the
     flag the delta is ``None`` and no collector is ever created, keeping
     the disabled path allocation-free.
@@ -210,14 +210,6 @@ def execute_points(
     ]
     recorder = telemetry.active()
 
-    def note_batch(points: int, tdelta: "Mapping[str, Any] | None") -> None:
-        if recorder is None:
-            return
-        if tdelta is not None:
-            recorder.absorb(tdelta)
-        recorder.count("engine.batches")
-        recorder.count("engine.points", points)
-
     if workers == 1 or len(todo) == 1:
         try:
             for batch in batches:
@@ -251,7 +243,7 @@ def execute_points(
                 if collector is not None:
                     inline_delta = collector.export()
                     inline_delta["cpu_seconds"] = 0.0
-                    note_batch(len(batch), inline_delta)
+                    recorder.absorb(inline_delta)
                 finish_batch(done, kernels.counters_delta(before))
         except CampaignError:
             if on_abort is not None:
@@ -277,7 +269,6 @@ def execute_points(
                     ),
                 )
                 pending[future] = batch
-                telemetry.count("engine.submitted")
         try:
             top_up()
             while pending:
@@ -285,7 +276,8 @@ def execute_points(
                 for future in done:
                     batch = pending.pop(future)
                     outcomes, kdelta, tdelta = future.result()
-                    note_batch(len(batch), tdelta)
+                    if tdelta is not None:
+                        recorder.absorb(tdelta)
                     finish_batch(
                         [
                             (spec, ok, result, elapsed)

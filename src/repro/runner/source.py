@@ -48,7 +48,6 @@ import json
 import math
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
-from repro import telemetry
 from repro.runner.aggregate import Aggregator
 from repro.runner.grid import axis_values, expand_grid
 from repro.runner.shard import grid_digest
@@ -507,8 +506,6 @@ class AdaptiveRefinementSource(PointSource):
                 [(key_c, self.initial_reps) for key_c in self._bins]
             )
         while specs:
-            telemetry.count("adaptive.rounds")
-            telemetry.count("adaptive.planned", len(specs))
             self._round_specs = specs
             yield list(specs)
             self._round += 1
@@ -516,8 +513,6 @@ class AdaptiveRefinementSource(PointSource):
             specs = self._plan(view)
         self._complete = True
         self._finalize(view)
-        if self.open_bins is not None:
-            telemetry.gauge("adaptive.open_bins", self.open_bins)
 
     # -- persistence ------------------------------------------------------
 

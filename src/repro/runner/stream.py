@@ -28,8 +28,10 @@ With a ``state_path`` (the CLI defaults it to ``<cache-dir>/aggregates/``),
 the aggregate is periodically persisted as one canonical-JSON snapshot
 recording the accumulator states plus the digests of every point already
 folded. An interrupted or extended sweep resumes incrementally: points in
-the snapshot are *skipped outright* — no recomputation, no cache read, no
-re-fold — and only new points are evaluated and folded. Snapshots are keyed
+the snapshot are never recomputed or re-folded, and only new points are
+evaluated and folded. A run that collects no rows skips them outright, with
+no cache read; a ``collect=True`` run re-reads each from the result cache
+to return its row. Snapshots are keyed
 by the aggregator's config digest and the campaign master seed, so a stale
 snapshot (changed metrics, changed seed) is rejected instead of silently
 merged into. Sources with state of their own (adaptive refinement) persist
@@ -138,6 +140,10 @@ def check_snapshot_compat(
 #: effective interval scales with campaign size — max(this, unique/64) —
 #: to keep total snapshot I/O linear-ish instead of quadratic in points.
 _FLUSH_EVERY = 256
+
+#: The record counters every ``on_delta`` payload carries, next to the
+#: sizes of the snapshot's folded and failed sets.
+DELTA_COUNTERS = ("cached", "computed", "errors", "rounds", "batches")
 
 
 @dataclass(frozen=True)
@@ -348,7 +354,8 @@ def stream_campaign(
     * results are folded and dropped — set ``collect=True`` to also keep
       the aligned per-spec result list (back to O(points) memory);
     * with ``state_path``, aggregation itself is resumable: already-folded
-      points are skipped without touching cache or pool;
+      points are never re-evaluated or re-folded, and without ``collect``
+      they are skipped without touching cache or pool;
     * failing points are never folded or cached. ``on_error="store"``
       records ``{"error": ...}`` in the collected results (if any), keeps
       going, and persists the failing digests in the snapshot — a resumed
@@ -392,7 +399,9 @@ def stream_campaign(
     per round admit (record the round's points), scan (settle what the
     snapshot or the cache already holds) and execute (settle what the
     engine evaluates), and a final snapshot flush. Every point outcome is
-    settled in one place, which is also the only place it is counted.
+    settled in one place, which is also the only place it is counted. A
+    complete adaptive snapshot emits no round: its points are settled as
+    resumed in one step, and the snapshot is left as it is.
 
     ``on_delta`` is a progress observer for live consumers (the
     ``repro serve`` delta stream): it is called with a counters mapping
@@ -497,7 +506,9 @@ class _CampaignRun:
 
     :meth:`run` drives resume → per round (admit → scan → execute) →
     flush. Every point outcome goes through :meth:`settle`, which files it
-    (fold, failure set, collected results) and counts it in :attr:`record`.
+    (fold, failure set, collected results) and counts it in :attr:`record`;
+    a complete adaptive snapshot's held points, which no round emits, go
+    through :meth:`settle_snapshot`.
     """
 
     source: PointSource
@@ -551,11 +562,12 @@ class _CampaignRun:
             for round_specs in _timed_rounds(self.source.rounds(view)):
                 self.admit(round_specs)
                 self.execute(self.scan(round_specs))
-            rounds = self.record["rounds"]
-            if not (self.dynamic and rounds == 0 and self.resumed_complete):
+            if self.resumed_complete:
                 # A resumed-complete adaptive run replans nothing; rewriting
                 # the snapshot would shrink its manifest to the (empty)
                 # point set seen this run and corrupt it.
+                self.settle_snapshot()
+            else:
                 self.flush(force=True)
         results = None
         if self.collected is not None:
@@ -652,7 +664,6 @@ class _CampaignRun:
     def admit(self, round_specs: Sequence[PointSpec]) -> None:
         """Record a round's points: this shard's in order, others' for planning."""
         self.record["rounds"] += 1
-        telemetry.count("campaign.rounds")
         owned = 0
         for spec in round_specs:
             if self.dynamic:
@@ -775,8 +786,7 @@ class _CampaignRun:
         cached: bool = False,
         resumed: bool = False,
     ) -> None:
-        """File one point's outcome and count it — the only place either
-        happens.
+        """File one point's outcome and count it.
 
         ``resumed`` marks a point the snapshot already holds, ``cached`` a
         result-cache hit; otherwise ``result`` was just evaluated. An owned
@@ -826,6 +836,23 @@ class _CampaignRun:
         # records a fold whose digest is missing from the folded set.
         self.flush()
 
+    def settle_snapshot(self) -> None:
+        """Settle a complete adaptive snapshot's points as resumed.
+
+        Its source emits no round, so none of them reaches :meth:`scan`;
+        they count as a grid re-run's scan settles them: each held point
+        resumed, each held failure an error.
+        """
+        for ok, digests in ((True, self.folded), (False, self.failed)):
+            self.record["skipped"] += len(digests)
+            if not ok:
+                self.record["errors"] += len(digests)
+            if self.reporter is not None:
+                self.reporter.grow(len(digests))
+                for _ in digests:
+                    self.reporter.update(cached=True, error=not ok)
+        self.emit("scan")
+
     def _fold_planning(self, spec: PointSpec, result: Any) -> None:
         if spec.digest not in self.planning_folded:
             self.planning.fold(spec, result)
@@ -852,23 +879,17 @@ class _CampaignRun:
                 source=self.source.state_dict(),
                 planning=planning,
             )
-        telemetry.count("campaign.snapshots")
         self.new_folds = 0
 
     def emit(self, event: str) -> None:
         if self.on_delta is None:
             return
-        record = self.record
         self.on_delta(
             {
                 "event": event,
                 "folded": len(self.folded),
                 "failed": len(self.failed),
-                "cached": record["cached"],
-                "computed": record["computed"],
-                "errors": record["errors"],
-                "rounds": record["rounds"],
-                "batches": record["batches"],
+                **{key: self.record[key] for key in DELTA_COUNTERS},
             }
         )
 
@@ -896,6 +917,7 @@ class _CampaignRun:
 
 
 __all__ = [
+    "DELTA_COUNTERS",
     "SNAPSHOT_SCHEMA",
     "SNAPSHOT_SCHEMA_MINOR",
     "SnapshotCompatWarning",

@@ -19,9 +19,9 @@ GET    ``/snapshots/{digest}/report``   rendered report of an upload
 GET    ``/snapshots/{digest}/query/..`` typed query over an upload
 GET    ``/stats``                       job counts + query-cache hit rates
 GET    ``/metrics``                     uptime, request/status counters, and
-                                        telemetry counters summed over jobs
+                                        the jobs' run counters summed
 GET    ``/jobs/{id}/telemetry``         the job's run manifest (phases,
-                                        counters, cache/kernel ratios)
+                                        stats, cache/kernel ratios)
 ====== ================================ =======================================
 
 Query and report responses are memoized in a
@@ -42,6 +42,7 @@ from typing import Any, TextIO
 
 from repro.reporting import QueryCache, QueryError, SnapshotQuery
 from repro.runner.presets import get_preset, preset_names
+from repro.runner.stream import DELTA_COUNTERS
 from repro.server.http import (
     ChunkedWriter,
     HttpError,
@@ -287,20 +288,15 @@ class ReproServer:
 
     def _metrics(self, request: Request) -> bytes:
         """Operational counters: HTTP traffic, job states, query cache,
-        and every job's telemetry counters summed into one view."""
+        and every job's run record (:meth:`Job.counters`) summed."""
         self._need(request, "GET")
         jobs = self.jobs.all()
         by_state: dict[str, int] = {}
-        counters: dict[str, int] = {}
-        telemetry_jobs = 0
+        counters = dict.fromkeys(DELTA_COUNTERS, 0)
         for job in jobs:
             by_state[job.state] = by_state.get(job.state, 0) + 1
-            exported = job.telemetry_counters()
-            if exported is None:
-                continue
-            telemetry_jobs += 1
-            for name, value in exported.items():
-                counters[name] = counters.get(name, 0) + int(value)
+            for name, value in (job.counters() or {}).items():
+                counters[name] += value
         with self._http_lock:
             requests = {
                 "total": self._request_total,
@@ -314,10 +310,7 @@ class ReproServer:
                 "requests": requests,
                 "jobs": {"total": len(jobs), "by_state": by_state},
                 "query_cache": self.cache.stats(),
-                "telemetry": {
-                    "jobs": telemetry_jobs,
-                    "counters": dict(sorted(counters.items())),
-                },
+                "counters": counters,
             },
         )
 

@@ -26,7 +26,7 @@ from repro import telemetry
 from repro.reporting import SnapshotQuery
 from repro.runner.presets import PresetError, PresetSpec, get_preset
 from repro.runner.spec import canonical_json
-from repro.runner.stream import stream_campaign
+from repro.runner.stream import DELTA_COUNTERS, stream_campaign
 from repro.telemetry import Telemetry, build_manifest
 
 
@@ -178,6 +178,7 @@ class Job:
         self.error: "str | None" = None
         self.stats: "dict[str, Any] | None" = None
         self._latest_state: "dict[str, Any] | None" = None
+        self._latest_delta: "Mapping[str, Any] | None" = None
         #: Per-job telemetry recorder, created when the worker thread
         #: starts so wall-clock measures the run, not the queue wait.
         self.recorder: "Telemetry | None" = None
@@ -260,6 +261,7 @@ class Job:
         state = self._aggregator.state_dict()
         with self._lock:
             self._latest_state = state
+            self._latest_delta = delta
         self._emit({"type": "delta", **delta})
 
     # -- queries (any thread) ---------------------------------------------
@@ -275,16 +277,14 @@ class Job:
             aggregator.load_state(latest)
         return SnapshotQuery.from_aggregator(self._preset, aggregator)
 
-    def telemetry_counters(self) -> "dict[str, int] | None":
-        """This job's raw telemetry counters (None before the run starts).
-
-        Safe from any thread: the recorder's export takes retried copies
-        of its dicts, so a concurrent fold at worst delays the read.
-        """
-        recorder = self.recorder
-        if recorder is None:
+    def counters(self) -> "dict[str, int] | None":
+        """This job's run record: its final stats once it has them, else
+        its latest delta (None before the first delta)."""
+        with self._lock:
+            record = self.stats if self.stats is not None else self._latest_delta
+        if record is None:
             return None
-        return recorder.export()["counters"]
+        return {key: record[key] for key in DELTA_COUNTERS}
 
     def telemetry_manifest(self) -> "dict[str, Any] | None":
         """A run-manifest view of this job (None before the run starts)."""

@@ -31,8 +31,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
-from repro import telemetry
-
 
 class EventKind(enum.IntEnum):
     """Discrete simulation events; the int value is the same-time priority."""
@@ -50,13 +48,6 @@ class EventKind(enum.IntEnum):
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.name.lower()
-
-
-#: Telemetry counter name per kind, precomputed so the dispatch hot path
-#: never builds strings.
-_DISPATCH_COUNTER = {
-    kind: f"sim.events.{kind.name.lower()}" for kind in EventKind
-}
 
 
 @dataclass(frozen=True)
@@ -104,7 +95,6 @@ class EventQueue:
             self._heap, (event.time, int(event.kind), self._seq, event)
         )
         self._seq += 1
-        telemetry.count("sim.events.pushed")
 
     def push_at(self, time: float, kind: EventKind, data: Any = None) -> Event:
         """Build and insert an event; returns it."""
@@ -116,10 +106,7 @@ class EventQueue:
         """Remove and return the next event (IndexError when empty)."""
         if not self._heap:
             raise IndexError("pop from an empty EventQueue")
-        event = heapq.heappop(self._heap)[3]
-        telemetry.count("sim.events.dispatched")
-        telemetry.count(_DISPATCH_COUNTER[event.kind])
-        return event
+        return heapq.heappop(self._heap)[3]
 
     def peek(self) -> Event:
         """The next event without removing it (IndexError when empty)."""
@@ -143,10 +130,7 @@ class EventQueue:
         while self._heap:
             if until is not None and self._heap[0][0] >= until:
                 return
-            event = heapq.heappop(self._heap)[3]
-            telemetry.count("sim.events.dispatched")
-            telemetry.count(_DISPATCH_COUNTER[event.kind])
-            yield event
+            yield heapq.heappop(self._heap)[3]
 
 
 __all__ = ["Event", "EventKind", "EventQueue"]

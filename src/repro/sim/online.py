@@ -51,7 +51,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from repro import telemetry
 from repro.core.admission import AdmissionController
 from repro.core.config import PlatformConfig
 from repro.faults.model import Fault, FaultOutcome
@@ -258,17 +257,13 @@ class OnlineSim:
     def _on_arrival(self, ev, queue, result, dead_cores, pending) -> None:
         task, lifetime = ev.data
         decision = self._controller.try_admit(task)
-        telemetry.count("sim.online.offered")
         b = int(ev.time // result.bin_width)
         counts = result.acceptance_bins.setdefault(b, [0, 0])
         counts[0] += 1
         if decision.admitted:
-            telemetry.count("sim.online.admitted")
             counts[1] += 1
             if lifetime is not None:
                 queue.push_at(ev.time + lifetime, EventKind.DEPARTURE, task.name)
-        else:
-            telemetry.count("sim.online.rejected")
         result.decisions.append(
             (ev.time, task.name, decision.admitted, decision.reason)
         )
@@ -306,7 +301,6 @@ class OnlineSim:
                     continue
                 orphans.extend(self._controller.kill_processor(mode, idx))
         result.orphaned += len(orphans)
-        telemetry.count("sim.online.orphaned", len(orphans))
         # One re-admission attempt per major cycle, in eviction order: the
         # platform re-derives one bin's quanta per cycle boundary.
         boundary = (math.floor(ev.time / result.period) + 1) * result.period
@@ -321,16 +315,13 @@ class OnlineSim:
         if task.name not in pending:
             return  # departed (or otherwise resolved) while waiting
         decision = self._controller.try_admit(task)
-        telemetry.count("sim.online.reassign_attempts")
         del pending[task.name]
         if decision.admitted:
-            telemetry.count("sim.online.reassigned")
             window = ev.time - death_time
             result.reassign_latencies.append(window)
             result.miss_windows.append(window)
             result.post_failure_misses += self._window_misses(task, window)
         else:
-            telemetry.count("sim.online.lost")
             result.lost.append(task.name)
             window = result.horizon - death_time
             result.miss_windows.append(window)

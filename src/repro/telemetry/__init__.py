@@ -1,8 +1,8 @@
-"""Run telemetry: spans, counters, traces, manifests and profiling.
+"""Run telemetry: spans, traces, manifests and profiling.
 
-Import the module-level helpers (``count``, ``gauge``, ``span``) from here
-in instrumented code; they are O(1) no-ops until a :class:`Telemetry`
-recorder is :func:`activate`-d on the current thread.
+Import :func:`span` from here in instrumented code; it is an O(1) no-op
+until a :class:`Telemetry` recorder is :func:`activate`-d on the current
+thread.
 """
 
 from .core import (
@@ -13,9 +13,7 @@ from .core import (
     activate,
     activated,
     active,
-    count,
     enabled,
-    gauge,
     span,
 )
 from .manifest import MANIFEST_SCHEMA, build_manifest, write_manifest
@@ -32,9 +30,7 @@ __all__ = [
     "activated",
     "active",
     "build_manifest",
-    "count",
     "enabled",
-    "gauge",
     "load_trace",
     "render_profile",
     "span",

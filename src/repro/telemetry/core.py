@@ -1,19 +1,19 @@
-"""Hierarchical spans, counters and gauges with an O(1) disabled path.
+"""Hierarchical wall-clock spans with an O(1) disabled path.
 
 The telemetry layer answers "where did this run spend its time?" without
 ever touching what the run *computes*: recorders hold wall-clock spans
-(``time.perf_counter``), exact integer counters and last-value gauges, and
-none of that state is readable by the engine, the accumulators, or the
-snapshot writer. Campaign snapshots are therefore byte-identical with
-telemetry enabled or disabled (``tests/invariance/test_matrix.py``).
+(``time.perf_counter``), and none of that state is readable by the engine,
+the accumulators, or the snapshot writer. Campaign snapshots are therefore
+byte-identical with telemetry enabled or disabled
+(``tests/invariance/test_matrix.py``). What a run *counts* lives in its
+campaign record (:class:`repro.runner.stream.StreamStats`), not here.
 
 Activation is **thread-local**: :func:`activate` installs a
 :class:`Telemetry` recorder for the current thread only, so two server
-jobs folding on different threads never cross-contaminate, and the module
-level helpers (:func:`count`, :func:`gauge`, :func:`span`) are safe to
-sprinkle through hot paths — with no recorder active they are a single
-thread-local read followed by a ``None`` check, and :func:`span` returns a
-shared no-op context manager without allocating.
+jobs folding on different threads never cross-contaminate, and
+:func:`span` is safe to sprinkle through hot paths — with no recorder
+active it is a single thread-local read followed by a ``None`` check that
+returns a shared no-op context manager without allocating.
 
 Pool workers are separate processes: the engine passes an "enable
 telemetry" flag in the batch payload, each worker records into a private
@@ -87,20 +87,6 @@ class activated:
         activate(self._previous)
 
 
-def count(name: str, n: int = 1) -> None:
-    """Add ``n`` to counter ``name`` on the active recorder (no-op if none)."""
-    t = _local.telemetry
-    if t is not None:
-        t.count(name, n)
-
-
-def gauge(name: str, value: float) -> None:
-    """Set gauge ``name`` on the active recorder (no-op if none)."""
-    t = _local.telemetry
-    if t is not None:
-        t.gauge(name, value)
-
-
 class _NullSpan:
     """Shared allocation-free span used while telemetry is disabled."""
 
@@ -153,7 +139,7 @@ def _copy_mapping(source: Mapping[str, Any]) -> dict[str, Any]:
     """Snapshot a dict that another thread may be growing.
 
     Recorders are single-writer (the thread they are activated on) but may
-    be *read* from other threads (the server's ``/metrics`` endpoints), and
+    be *read* from other threads (the server's ``/jobs/{id}/telemetry``), and
     copying a dict mid-insert can raise ``RuntimeError``. A short retry is
     all that is needed — inserts are rare relative to reads.
     """
@@ -166,7 +152,7 @@ def _copy_mapping(source: Mapping[str, Any]) -> dict[str, Any]:
 
 
 class Telemetry:
-    """One run's recorder: counters, gauges, and span phase totals.
+    """One run's recorder: span phase totals and CPU seconds.
 
     ``phases`` maps span *paths* to ``[count, total_seconds]``; the path is
     the ``/``-joined stack of enclosing span names, so the mapping is a
@@ -178,8 +164,6 @@ class Telemetry:
     def __init__(self, sink: "TraceSink | None" = None):
         self._t0 = time.perf_counter()
         self._cpu0 = time.process_time()
-        self.counters: dict[str, int] = {}
-        self.gauges: dict[str, float] = {}
         self.phases: dict[str, list[float]] = {}
         self._stack: list[str] = []
         self._sink = sink
@@ -187,12 +171,6 @@ class Telemetry:
         self.worker_cpu: float = 0.0
 
     # -- recording (single writer thread) ----------------------------------
-
-    def count(self, name: str, n: int = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + n
-
-    def gauge(self, name: str, value: float) -> None:
-        self.gauges[name] = float(value)
 
     def span(self, name: str, **attrs: Any) -> _Span:
         return _Span(self, name, attrs)
@@ -211,8 +189,6 @@ class Telemetry:
 
     def absorb(self, delta: Mapping[str, Any], prefix: str = "worker") -> None:
         """Fold a worker collector's :meth:`export` into this recorder."""
-        for name, n in delta.get("counters", {}).items():
-            self.count(name, n)
         for path, (n, total) in delta.get("phases", {}).items():
             key = f"{prefix}/{path}" if prefix else path
             slot = self.phases.get(key)
@@ -221,8 +197,6 @@ class Telemetry:
             else:
                 slot[0] += n
                 slot[1] += total
-        for name, value in delta.get("gauges", {}).items():
-            self.gauge(name, value)
         self.worker_cpu += float(delta.get("cpu_seconds", 0.0))
 
     # -- reading (any thread) ----------------------------------------------
@@ -238,10 +212,8 @@ class Telemetry:
         return (time.process_time() - self._cpu0) + self.worker_cpu
 
     def export(self) -> dict[str, Any]:
-        """JSON-safe snapshot: counters, gauges, phases, cpu/wall seconds."""
+        """JSON-safe snapshot: phases, cpu/wall seconds."""
         return {
-            "counters": _copy_mapping(self.counters),
-            "gauges": _copy_mapping(self.gauges),
             "phases": {
                 path: [int(slot[0]), slot[1]]
                 for path, slot in _copy_mapping(self.phases).items()
@@ -320,8 +292,6 @@ __all__ = [
     "activate",
     "activated",
     "active",
-    "count",
     "enabled",
-    "gauge",
     "span",
 ]

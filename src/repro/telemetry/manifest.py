@@ -2,11 +2,13 @@
 
 The manifest is the machine-readable sibling of the stats line
 ``repro campaign`` prints: configuration digest and seed (what ran),
-wall/CPU breakdown by phase (where time went), cache hit ratio and kernel
-fast share (how well the fast paths engaged), and the content digest of
-the aggregate the run produced (what came out). It is derived purely from
-the telemetry recorder and the finished stats — never fed back into any
-accumulator — so writing it cannot perturb the byte-identity contract.
+wall/CPU breakdown by phase (where time went), the stats themselves with
+the cache hit ratio and kernel fast share computed from them (how well the
+fast paths engaged), and the content digest of the aggregate the run
+produced (what came out). Phases come from the telemetry recorder and
+every count from the stats, the campaign's one counter record; nothing is
+fed back into any accumulator, so writing it cannot perturb the
+byte-identity contract.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ import json
 from pathlib import Path
 from typing import Any, Mapping
 
-#: Bump when the manifest layout changes.
-MANIFEST_SCHEMA = 1
+#: Bump when the manifest layout changes. Schema 2 dropped the recorder's
+#: counters and gauges; the cache and kernel figures come from ``stats``.
+MANIFEST_SCHEMA = 2
 
 
 def _ratio(hits: int, total: int) -> "float | None":
@@ -39,16 +42,11 @@ def build_manifest(
     run failed before producing stats); ``config`` carries caller-provided
     run identity (preset, seed, axes, workers, ...); ``aggregate_json`` is
     the canonical aggregate snapshot text, digested — not embedded — so the
-    manifest can vouch for the run's output without duplicating it.
+    manifest can vouch for the run's output without duplicating it. The
+    ``cache`` hit ratio (``cached`` over ``cached + computed``) and the
+    ``kernels`` fast share are computed from ``stats`` and present with it.
     """
     export = telemetry.export()
-    counters: dict[str, int] = export["counters"]
-
-    cache_hits = counters.get("cache.hit", 0)
-    cache_misses = counters.get("cache.miss", 0)
-    kernel_fast = counters.get("kernels.fast", 0)
-    kernel_fallback = counters.get("kernels.fallback", 0)
-
     phases = {
         path: {"count": n, "wall_seconds": total}
         for path, (n, total) in sorted(export["phases"].items())
@@ -60,21 +58,16 @@ def build_manifest(
         "wall_seconds": export["wall_seconds"],
         "cpu_seconds": export["cpu_seconds"],
         "phases": phases,
-        "counters": dict(sorted(counters.items())),
-        "gauges": dict(sorted(export["gauges"].items())),
-        "cache": {
-            "hits": cache_hits,
-            "misses": cache_misses,
-            "hit_ratio": _ratio(cache_hits, cache_hits + cache_misses),
-        },
-        "kernels": {
-            "fast": kernel_fast,
-            "fallback": kernel_fallback,
-            "fast_share": _ratio(kernel_fast, kernel_fast + kernel_fallback),
-        },
     }
     if stats is not None:
         manifest["stats"] = dict(stats)
+        cached, fast = stats["cached"], stats["kernel_fast"]
+        manifest["cache"] = {
+            "hit_ratio": _ratio(cached, cached + stats["computed"]),
+        }
+        manifest["kernels"] = {
+            "fast_share": _ratio(fast, fast + stats["kernel_fallback"]),
+        }
     if aggregate_json is not None:
         manifest["aggregate_digest"] = hashlib.sha256(
             aggregate_json.encode("utf-8")

@@ -6,7 +6,8 @@ reference: in process, one worker, batch 1, fast kernels, no telemetry, a
 cold start and no shards. Each cell re-runs the row with one knob changed
 and must write the reference's snapshot bytes, and the reference's
 ``--out`` rows where it runs one unsharded campaign. Every run's counters
-must agree with what it wrote.
+must agree with what it wrote, and its run manifest and ``/metrics`` with
+its stats.
 """
 
 import contextlib
@@ -75,6 +76,29 @@ STATS_LINE = re.compile(
     r".*aggregate: (?P<folded>\d+) folded, (?P<resumed>\d+) resumed"
     r"(?:, (?P<failed>\d+) failed)?"
 )
+
+
+#: The run-record counters ``/metrics`` sums over jobs.
+METRIC_COUNTERS = ("batches", "cached", "computed", "errors", "rounds")
+
+
+def ratio(part, whole):
+    return part / whole if whole else None
+
+
+def check_manifest(manifest, stats):
+    """A run manifest holds the run's ``stats`` and computes its cache hit
+    ratio and kernel fast share from them."""
+    assert manifest["schema"] == 2 and "campaign" in manifest["phases"]
+    assert manifest["wall_seconds"] > 0
+    assert manifest["stats"] == stats
+    cached, fast = stats["cached"], stats["kernel_fast"]
+    assert manifest["cache"] == {
+        "hit_ratio": ratio(cached, cached + stats["computed"])
+    }
+    assert manifest["kernels"] == {
+        "fast_share": ratio(fast, fast + stats["kernel_fallback"])
+    }
 
 
 def run_cli(*argv):
@@ -169,12 +193,15 @@ def telemetry_on(ref, tmp_path):
     # Two workers: the phase coverage of a one-worker table2 run (8 ms) is
     # at the mercy of the host.
     trace = tmp_path / "telemetry"
-    stats = ref.single(tmp_path, "--workers", 2, "--telemetry", trace)
+    line = ref.single(tmp_path, "--workers", 2, "--telemetry", trace)
     manifest = json.loads((trace / "run-manifest.json").read_text())
-    assert manifest["schema"] == 1 and "campaign" in manifest["phases"]
-    assert manifest["wall_seconds"] > 0
-    points = manifest["counters"]["engine.points"]
-    assert points == stats["computed"] + stats["failed"], manifest["counters"]
+    stats = manifest["stats"]
+    assert line == {
+        "computed": stats["computed"], "cached": stats["cached"],
+        "folded": stats["folded"], "resumed": stats["skipped"],
+        "failed": stats["errors"],
+    }, (line, stats)
+    check_manifest(manifest, stats)
     status, _out, err = run_cli("profile", trace, "--min-coverage", 0.95)
     assert status == 0, err
 
@@ -197,10 +224,14 @@ def warm_cache(ref, tmp_path):
     assert snapshot.read_bytes() == ref.state
     warm = campaign(ref.row, *args, state=None)
     assert (warm["computed"], warm["folded"]) == (0, 0), warm
-    # Row-rendered presets re-read every point from the result cache; the
-    # others skip the snapshot's points outright.
+    failed = len(json.loads(snapshot.read_text())["failed"])
+    assert first["failed"] == warm["failed"] == failed, (first, warm)
+    # Row-rendered presets re-read every point from the result cache and
+    # re-evaluate its failures; the others skip the snapshot's points
+    # outright.
     rows = get_preset(ROWS[ref.row]["preset"]).row_rendered
     assert warm["cached"] == (first["computed"] if rows else 0), warm
+    assert warm["resumed"] == first["folded"] + (0 if rows else failed), warm
     assert snapshot.read_bytes() == ref.state
 
 
@@ -226,6 +257,11 @@ def served(ref, tmp_path):
         with urllib.request.urlopen(f"{base}/jobs/{job_id}/snapshot",
                                     timeout=60) as resp:
             snapshot = resp.read()
+        with urllib.request.urlopen(f"{base}/jobs/{job_id}/telemetry",
+                                    timeout=60) as resp:
+            manifest = json.load(resp)
+        with urllib.request.urlopen(f"{base}/metrics", timeout=60) as resp:
+            metrics = json.load(resp)
     finally:
         stop()
     assert events[-1]["type"] == "complete", events[-1]
@@ -237,6 +273,8 @@ def served(ref, tmp_path):
     for key in ("computed", "cached", "errors", "batches"):
         assert deltas[-1][key] == stats[key], (key, deltas[-1], stats)
     assert stats["errors"] == len(json.loads(snapshot)["failed"])
+    check_manifest(manifest, stats)
+    assert metrics["counters"] == {key: stats[key] for key in METRIC_COUNTERS}
     assert snapshot == ref.state
 
 

@@ -1,13 +1,13 @@
 """Campaign run counters: pinned stats and one record behind every view.
 
-A campaign's counters reach callers four ways: ``StreamStats``, the
-``on_delta`` payloads ``repro serve`` streams, the progress reporter and
-telemetry's ``engine.*``/``kernels.*`` counters. The pinned literals below
-fix ``StreamStats`` (all but ``elapsed``) for a spread of scenarios: fresh
-grids at several ``(workers, batch)`` shapes, a warm cache, a resume that
-extends the grid, shards, store-mode failures and adaptive runs with and
-without shards. The agreement tests check that the views tell the same
-story while the run is in flight, not just at its end.
+A campaign's counters reach callers three ways: ``StreamStats``, the
+``on_delta`` payloads ``repro serve`` streams and the progress reporter.
+The pinned literals below fix ``StreamStats`` (all but ``elapsed``) for a
+spread of scenarios: fresh grids at several ``(workers, batch)`` shapes, a
+warm cache, a resume that extends the grid, shards, store-mode failures
+and adaptive runs with and without shards, and resumes of complete
+adaptive snapshots. The agreement tests check that the views tell the
+same story while the run is in flight, not just at its end.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import threading
 
 import pytest
 
-from repro import telemetry
 from repro.experiments.weighted import (
     weighted_adaptive_source,
     weighted_aggregator,
@@ -166,7 +165,8 @@ def store_resume(tmp_path):
 
 
 def adaptive(tmp_path):
-    """An adaptive run, then the resume of its complete snapshot."""
+    """An adaptive run, then the resume of its complete snapshot: it emits
+    no round and reports the snapshot's points as resumed."""
     state = tmp_path / "state.json"
     return [
         counters(
@@ -197,6 +197,23 @@ def sharded_adaptive(tmp_path):
     ]
 
 
+def sharded_adaptive_resume(tmp_path):
+    """An adaptive shard, then the resume of its complete snapshot: it
+    reports only its own points as resumed."""
+    return [
+        counters(
+            stream_campaign(
+                weighted_adaptive_source(ADAPTIVE_AXES, ci_width=0.4),
+                weighted_aggregator(), workers=1, master_seed=3,
+                state_path=tmp_path / "shard0.json", shard=(0, 2),
+                planning_aggregator=weighted_aggregator(), batch_size=4,
+                on_error="store",
+            )
+        )
+        for _ in range(2)
+    ]
+
+
 SCENARIOS = {
     "fresh-w1-b1": fresh(1, 1),
     "fresh-w1-b8": fresh(1, 8),
@@ -212,6 +229,7 @@ SCENARIOS = {
     "store-resume": store_resume,
     "adaptive": adaptive,
     "sharded-adaptive": sharded_adaptive,
+    "sharded-adaptive-resume": sharded_adaptive_resume,
 }
 
 
@@ -323,9 +341,10 @@ PINNED = {
             batch_size=4, folded=60, skipped=0, batches=18, rounds=5,
             round_sizes=[12, 9, 6, 30, 6], open_bins=0, planning_points=0,
             kernel_fast=540, kernel_fallback=0),
-        dict(total=0, unique=0, computed=0, cached=0, errors=0, workers=1,
-            batch_size=4, folded=0, skipped=0, batches=0, rounds=0, round_sizes=[],
-            open_bins=None, planning_points=0, kernel_fast=0, kernel_fallback=0),
+        dict(total=0, unique=0, computed=0, cached=0, errors=3, workers=1,
+            batch_size=4, folded=0, skipped=63, batches=0, rounds=0,
+            round_sizes=[], open_bins=None, planning_points=0, kernel_fast=0,
+            kernel_fallback=0),
     ],
     "sharded-adaptive": [
         dict(total=28, unique=28, computed=27, cached=0, errors=1, workers=1,
@@ -336,6 +355,16 @@ PINNED = {
             batch_size=4, folded=33, skipped=0, batches=1, rounds=5,
             round_sizes=[6, 4, 4, 18, 3], open_bins=0, planning_points=28,
             kernel_fast=24, kernel_fallback=0),
+    ],
+    "sharded-adaptive-resume": [
+        dict(total=28, unique=28, computed=27, cached=0, errors=1, workers=1,
+            batch_size=4, folded=27, skipped=0, batches=18, rounds=5,
+            round_sizes=[6, 5, 2, 12, 3], open_bins=0, planning_points=35,
+            kernel_fast=540, kernel_fallback=0),
+        dict(total=0, unique=0, computed=0, cached=0, errors=1, workers=1,
+            batch_size=4, folded=0, skipped=28, batches=0, rounds=0,
+            round_sizes=[], open_bins=None, planning_points=0, kernel_fast=0,
+            kernel_fallback=0),
     ],
 }
 
@@ -355,15 +384,11 @@ def mixed_aggregator() -> Aggregator:
 
 
 def observe(make_run, workers: int):
-    """Run once under a recorder; return (stats, deltas, counters, progress)."""
+    """Run once; return (stats, deltas, progress)."""
     deltas: list[dict] = []
     reporter = ProgressReporter(0, stream=io.StringIO())
-    recorder = telemetry.Telemetry()
-    with telemetry.activated(recorder):
-        result = make_run(workers, reporter, deltas.append)
-    return (
-        result.stats, deltas, recorder.export()["counters"], reporter.snapshot()
-    )
+    result = make_run(workers, reporter, deltas.append)
+    return result.stats, deltas, reporter.snapshot()
 
 
 def mixed_run(workers, reporter, on_delta):
@@ -400,12 +425,12 @@ RUNS = {
 
 
 class TestCounterAgreement:
-    """Stats, deltas, progress and telemetry are views of one record."""
+    """Stats, deltas and progress are views of one record."""
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("name", list(RUNS))
     def test_views_agree(self, name, workers):
-        stats, deltas, counts, progress = observe(RUNS[name], workers)
+        stats, deltas, progress = observe(RUNS[name], workers)
         assert stats.errors > 0  # failures are part of what must agree
         for delta in deltas:
             assert delta["computed"] + delta["cached"] == delta["folded"], delta
@@ -414,10 +439,6 @@ class TestCounterAgreement:
         for key in ("folded", "cached", "computed", "errors", "rounds", "batches"):
             assert last[key] == getattr(stats, key), key
         assert last["failed"] == stats.errors
-        assert stats.batches == counts["engine.batches"]
-        assert stats.kernel_fast + stats.kernel_fallback == counts.get(
-            "kernels.fast", 0
-        ) + counts.get("kernels.fallback", 0)
         assert progress["done"] == progress["total"]
         assert progress["batches"] == stats.batches
 
@@ -426,6 +447,28 @@ class TestCounterAgreement:
         inline, *_ = observe(RUNS[name], 1)
         pooled, *_ = observe(RUNS[name], 2)
         assert inline.batches == pooled.batches
+
+    def test_complete_adaptive_resume(self, tmp_path):
+        """A complete adaptive snapshot's re-run emits no round; its delta
+        and its progress report the snapshot's points as resumed."""
+        state = tmp_path / "state.json"
+
+        def resumed_run(workers, reporter, on_delta):
+            return stream_campaign(
+                weighted_adaptive_source(ADAPTIVE_AXES, ci_width=0.4),
+                weighted_aggregator(), workers=workers, master_seed=3,
+                batch_size=4, on_error="store", state_path=state,
+                progress=reporter, on_delta=on_delta,
+            )
+
+        observe(resumed_run, 1)
+        stats, deltas, progress = observe(resumed_run, 1)
+        (delta,) = deltas
+        assert (stats.rounds, stats.skipped, stats.errors) == (0, 63, 3)
+        assert (delta["folded"], delta["failed"], delta["errors"]) == (60, 3, 3)
+        assert (progress["total"], progress["cached"], progress["errors"]) == (
+            63, 60, 3,
+        )
 
 
 def test_kernel_counts_are_per_thread():

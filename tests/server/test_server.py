@@ -339,10 +339,15 @@ class TestTelemetryEndpoints:
         assert manifest["state"] == "done"
         assert manifest["config"]["job"] == done_job["id"]
         assert manifest["config"]["preset"] == "sched"
-        assert manifest["stats"]["folded"] == 4
+        assert manifest["schema"] == 2
+        # the counts are the job's stats; the ratios are computed from them
+        stats = done_job["events"][-1]["stats"]
+        assert manifest["stats"] == stats and stats["folded"] == 4
+        fast, fallback = stats["kernel_fast"], stats["kernel_fallback"]
+        assert manifest["cache"] == {"hit_ratio": 0.0}
+        assert manifest["kernels"] == {"fast_share": fast / (fast + fallback)}
         # the engine phases recorded on the job thread show up
         assert "campaign" in manifest["phases"]
-        assert manifest["counters"]["engine.points"] >= 4
         assert manifest["wall_seconds"] > 0.0
 
     def test_metrics_aggregates_jobs_and_requests(self, server, done_job):
@@ -350,9 +355,14 @@ class TestTelemetryEndpoints:
         status, _h, metrics = _get_json(port, "/metrics")
         assert status == 200
         assert metrics["uptime_seconds"] > 0.0
-        assert metrics["jobs"]["by_state"].get("done", 0) >= 1
-        assert metrics["telemetry"]["jobs"] >= 1
-        assert metrics["telemetry"]["counters"]["engine.points"] >= 4
+        # every job has finished, so the counters sum their final stats
+        _s, _h, jobs = _get_json(port, "/jobs")
+        assert metrics["jobs"]["by_state"] == {"done": len(jobs["jobs"])}
+        assert metrics["counters"] == {
+            key: sum(job["stats"][key] for job in jobs["jobs"])
+            for key in ("batches", "cached", "computed", "errors", "rounds")
+        }
+        assert metrics["counters"]["computed"] >= 4
         requests = metrics["requests"]
         assert requests["total"] >= 1
         assert requests["by_route"].get("/jobs", 0) >= 1
@@ -360,6 +370,22 @@ class TestTelemetryEndpoints:
         _s, _h, again = _get_json(port, "/metrics")
         assert again["requests"]["total"] > requests["total"]
         assert again["requests"]["by_status"].get("200", 0) > 0
+
+    def test_job_counters_follow_the_run(self):
+        """What ``/metrics`` sums per job: nothing before the first delta,
+        then the latest delta, then the final stats."""
+        from repro.server.jobs import Job, JobConfig
+
+        keys = ("batches", "cached", "computed", "errors", "rounds")
+        job = Job(JobConfig("sched", axes=SCHED_JOB["axes"]))
+        assert job.counters() is None
+        delta = dict(event="scan", folded=1, failed=0, cached=1, computed=0,
+                     errors=0, rounds=1, batches=0)
+        job._on_delta(delta)
+        assert job.counters() == {key: delta[key] for key in keys}
+        job.run(default_workers=1)
+        assert job.state == "done" and job.stats["computed"] == 4
+        assert job.counters() == {key: job.stats[key] for key in keys}
 
     def test_metrics_rejects_non_get(self, server):
         status, _h, _b = _request(

@@ -1,4 +1,4 @@
-"""Unit tests for the telemetry recorder: spans, counters, absorption."""
+"""Unit tests for the telemetry recorder: spans, absorption, traces."""
 
 import json
 import threading
@@ -71,26 +71,8 @@ class TestActivation:
         with telemetry.span("anything") as s:
             assert s is NULL_SPAN
 
-    def test_disabled_count_and_gauge_are_noops(self):
-        telemetry.count("x")  # must not raise with no recorder
-        telemetry.gauge("y", 1.0)
-
 
 class TestRecorder:
-    def test_counters_accumulate_exactly(self):
-        t = Telemetry()
-        telemetry.activate(t)
-        telemetry.count("a")
-        telemetry.count("a", 4)
-        telemetry.count("b", 0)
-        assert t.counters == {"a": 5, "b": 0}
-
-    def test_gauge_keeps_last_value(self):
-        t = Telemetry()
-        t.gauge("bins", 7)
-        t.gauge("bins", 3)
-        assert t.gauges == {"bins": 3.0}
-
     def test_span_paths_join_nested_stack(self):
         t = Telemetry()
         telemetry.activate(t)
@@ -116,45 +98,41 @@ class TestRecorder:
 
     def test_export_is_json_safe_snapshot(self):
         t = Telemetry()
-        t.count("a", 2)
-        t.gauge("g", 1.5)
         with t.span("s"):
             pass
         export = t.export()
         json.dumps(export)  # round-trippable
-        assert export["counters"] == {"a": 2}
+        assert set(export) == {"phases", "cpu_seconds", "wall_seconds"}
         assert export["phases"]["s"][0] == 1
         assert export["wall_seconds"] >= 0.0
         assert export["cpu_seconds"] >= 0.0
         # the export is a copy: mutating it leaves the recorder alone
-        export["counters"]["a"] = 99
-        assert t.counters["a"] == 2
+        export["phases"]["s"][0] = 99
+        assert t.phases["s"][0] == 1
 
-    def test_absorb_prefixes_phases_not_counters(self):
+    def test_absorb_prefixes_phases(self):
         parent = Telemetry()
         worker = Telemetry()
-        worker.count("kernels.fast", 3)
         with worker.span("point"):
             pass
         delta = worker.export()
         delta["cpu_seconds"] = 0.25
         parent.absorb(delta)
-        assert parent.counters == {"kernels.fast": 3}
-        assert "worker/point" in parent.phases
+        assert set(parent.phases) == {"worker/point"}
         assert parent.worker_cpu == pytest.approx(0.25)
         assert parent.cpu_seconds >= 0.25
 
     def test_absorb_twice_accumulates(self):
         parent = Telemetry()
         worker = Telemetry()
-        worker.count("n", 1)
         with worker.span("p"):
             pass
         delta = worker.export()
+        delta["cpu_seconds"] = 0.25
         parent.absorb(delta)
         parent.absorb(delta)
-        assert parent.counters["n"] == 2
         assert parent.phases["worker/p"][0] == 2
+        assert parent.worker_cpu == pytest.approx(0.5)
 
     def test_phase_wall_of_unknown_path(self):
         assert Telemetry().phase_wall("nope") == 0.0

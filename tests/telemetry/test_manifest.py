@@ -13,47 +13,50 @@ from repro.telemetry import (
 
 def recorder_with_activity() -> Telemetry:
     t = Telemetry()
-    t.count("cache.hit", 3)
-    t.count("cache.miss", 1)
-    t.count("kernels.fast", 9)
-    t.count("kernels.fallback", 1)
-    t.gauge("adaptive.open_bins", 0)
     with t.span("campaign"):
         pass
     return t
 
 
+def stats(cached=0, computed=0, kernel_fast=0, kernel_fallback=0) -> dict:
+    """The counters of a ``StreamStats.to_dict()`` the manifest reads."""
+    return dict(
+        cached=cached, computed=computed, kernel_fast=kernel_fast,
+        kernel_fallback=kernel_fallback,
+    )
+
+
 class TestBuildManifest:
     def test_ratios_and_phase_table(self):
-        manifest = build_manifest(recorder_with_activity())
-        assert manifest["schema"] == MANIFEST_SCHEMA
-        assert manifest["cache"] == {
-            "hits": 3, "misses": 1, "hit_ratio": 0.75,
-        }
-        assert manifest["kernels"]["fast_share"] == 0.9
+        manifest = build_manifest(
+            recorder_with_activity(),
+            stats=stats(cached=3, computed=1, kernel_fast=9, kernel_fallback=1),
+        )
+        assert manifest["schema"] == MANIFEST_SCHEMA == 2
+        assert manifest["cache"] == {"hit_ratio": 0.75}
+        assert manifest["kernels"] == {"fast_share": 0.9}
         assert manifest["phases"]["campaign"]["count"] == 1
         assert manifest["phases"]["campaign"]["wall_seconds"] >= 0.0
-        assert manifest["gauges"] == {"adaptive.open_bins": 0.0}
+        assert "counters" not in manifest and "gauges" not in manifest
 
     def test_empty_recorder_ratios_are_none(self):
-        manifest = build_manifest(Telemetry())
+        manifest = build_manifest(Telemetry(), stats=stats())
         assert manifest["cache"]["hit_ratio"] is None
         assert manifest["kernels"]["fast_share"] is None
         assert manifest["phases"] == {}
 
     def test_optional_fields_only_when_given(self):
         bare = build_manifest(Telemetry())
-        assert "stats" not in bare
-        assert "aggregate_digest" not in bare
-        assert "error" not in bare
+        for key in ("stats", "cache", "kernels", "aggregate_digest", "error"):
+            assert key not in bare
         full = build_manifest(
             Telemetry(),
-            stats={"total": 4},
+            stats=stats(cached=4),
             config={"preset": "weighted", "seed": 3},
             aggregate_json='{"a": 1}',
             error="boom",
         )
-        assert full["stats"] == {"total": 4}
+        assert full["stats"] == stats(cached=4)
         assert full["config"]["preset"] == "weighted"
         assert full["error"] == "boom"
         assert full["aggregate_digest"] == hashlib.sha256(
@@ -61,7 +64,7 @@ class TestBuildManifest:
         ).hexdigest()
 
     def test_manifest_is_json_serializable(self):
-        json.dumps(build_manifest(recorder_with_activity()))
+        json.dumps(build_manifest(recorder_with_activity(), stats=stats(1, 1)))
 
 
 class TestWriteManifest:

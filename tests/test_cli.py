@@ -682,14 +682,26 @@ class TestTelemetryAndProfile:
     def test_telemetry_writes_trace_and_manifest(self, tmp_path, capsys):
         tel = tmp_path / "tel"
         self._run(tmp_path, "traced", "--telemetry", str(tel))
-        capsys.readouterr()
+        err = capsys.readouterr().err
         trace = tel / "trace.ndjson"
         manifest_path = tel / "run-manifest.json"
         assert trace.exists() and manifest_path.exists()
         manifest = json.loads(manifest_path.read_text())
+        assert manifest["schema"] == 2
         assert manifest["config"]["preset"] == "sched"
-        assert manifest["stats"]["folded"] == 4
-        assert manifest["counters"]["engine.points"] == 4
+        # every count is the stats line's; the ratios are computed from it
+        stats = manifest["stats"]
+        fast, fallback = stats["kernel_fast"], stats["kernel_fallback"]
+        assert stats["folded"] == stats["computed"] == 4
+        assert (
+            f"4 points (4 unique): 4 computed, 0 cached in {stats['elapsed']:.2f}s"
+            f" with 1 worker(s) x batch {stats['batch_size']}; aggregate: "
+            f"4 folded, 0 resumed; kernels: 100.0% fast ({fast}/{fast})"
+        ) in err
+        assert fallback == 0 < fast
+        assert manifest["cache"] == {"hit_ratio": 0.0}
+        assert manifest["kernels"] == {"fast_share": 1.0}
+        assert "counters" not in manifest and "gauges" not in manifest
         assert "campaign" in manifest["phases"]
         assert len(manifest["aggregate_digest"]) == 64
 
