@@ -295,11 +295,8 @@ def _write_run_telemetry(
 def cmd_campaign(args: argparse.Namespace) -> int:
     from repro.runner import (
         CampaignError,
-        ShardManifest,
         SnapshotError,
-        grid_digest,
         parse_shard,
-        shard_specs,
         stream_campaign,
     )
     from repro.runner.presets import PresetError, adaptive_message, get_preset
@@ -323,109 +320,56 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             )
     elif not preset.adaptive:
         raise SystemExit(f"campaign: {adaptive_message()}")
-    shard_index = shard_count = None
+    shard = (0, 1)
     if args.shard is not None:
         try:
-            shard_index, shard_count = parse_shard(args.shard)
+            shard = parse_shard(args.shard)
         except ValueError as exc:
             raise SystemExit(f"campaign: {exc}")
     aggregator = preset.aggregator()
-    planning_aggregator = None
-    state_path = args.state
-    shard: "object | None" = None
-    if adaptive:
-        try:
-            source = preset.adaptive_source(
-                args.axis,
-                args.scenario,
-                ci_width=args.ci_width,
-                max_points=args.max_points,
-            )
-        except PresetError as exc:
-            raise SystemExit(str(exc))
-        except ValueError as exc:
-            print(f"campaign failed: {exc}")
-            return 1
-        if shard_count is not None:
-            if args.state is None and args.cache_dir is None:
-                raise SystemExit(
-                    "campaign: --shard needs --state or --cache-dir — the "
-                    "manifest-tagged snapshot is the shard's whole output"
-                )
-            # The point set is not known upfront, so the shard is an
-            # (index, count) ownership rule; the manifest is rebuilt per
-            # round. Every shard must also observe the other shards'
-            # folds to plan rounds identically, hence the planning twin.
-            shard = (shard_index, shard_count)
-            if shard_count > 1:
-                planning_aggregator = preset.aggregator()
-        collect = bool(args.out or args.json)
-        runnable = source
-        if state_path is None and args.cache_dir is not None:
-            # Adaptive snapshots are fingerprinted by the source config
-            # (axes, ci target, budget) instead of a grid digest — the
-            # emitted point set is an outcome, not an input.
-            shard_tag = (
-                f"-shard{shard_index}of{shard_count}"
-                if shard_count is not None
-                else ""
-            )
-            state_path = (
-                Path(args.cache_dir)
-                / "aggregates"
-                / f"{args.preset}-s{args.seed}"
-                f"-{aggregator.config_digest[:16]}"
-                f"-a{source.config_digest[:16]}{shard_tag}.json"
-            )
-    else:
-        try:
-            specs = preset.specs(args.axis, args.scenario)
-        except PresetError as exc:
-            raise SystemExit(str(exc))
-        except ValueError as exc:
-            print(f"campaign failed: {exc}")
-            return 1
-        if shard_count is not None:
-            if args.state is None and args.cache_dir is None:
-                raise SystemExit(
-                    "campaign: --shard needs --state or --cache-dir — the "
-                    "manifest-tagged snapshot is the shard's whole output"
-                )
-            # Manifest first (it fingerprints the FULL grid), then narrow
-            # the spec list to this shard's digest-keyed subset.
-            shard = ShardManifest.for_shard(specs, shard_index, shard_count)
-            specs = shard_specs(specs, shard_index, shard_count)
-        # The per-point renderings (and --out/--json) need materialized
-        # rows; the aggregate-rendered presets stream in O(accumulators)
-        # memory. Shard runs never render rows, so they stay
-        # streaming-only — which also keeps the snapshot's skip-outright
-        # resume shortcut active.
-        collect = bool(args.out or args.json) or (
-            shard is None and preset.row_rendered
+    try:
+        source = preset.source(
+            args.strategy,
+            args.axis,
+            args.scenario,
+            ci_width=args.ci_width,
+            max_points=args.max_points,
         )
-        runnable = specs
-        if state_path is None and args.cache_dir is not None:
-            # The default snapshot is fingerprinted by the *spec set* too:
-            # a different --axis grid must not resume into (and render)
-            # bins folded by a previous grid. Deliberate incremental
-            # extension of a sweep uses an explicit --state path instead.
-            # Shards get their own snapshot next to the full run's (same
-            # grid fingerprint).
-            grid = (
-                shard.grid if shard is not None
-                else grid_digest(s.digest for s in specs)
-            )[:16]
-            shard_tag = (
-                f"-shard{shard.index}of{shard.count}"
-                if shard is not None
-                else ""
+    except PresetError as exc:
+        raise SystemExit(str(exc))
+    except ValueError as exc:
+        print(f"campaign failed: {exc}")
+        return 1
+    shard_tag = ""
+    if args.shard is not None:
+        if args.state is None and args.cache_dir is None:
+            raise SystemExit(
+                "campaign: --shard needs --state or --cache-dir — the "
+                "manifest-tagged snapshot is the shard's whole output"
             )
-            state_path = (
-                Path(args.cache_dir)
-                / "aggregates"
-                / f"{args.preset}-s{args.seed}"
-                f"-{aggregator.config_digest[:16]}-g{grid}{shard_tag}.json"
-            )
+        shard_tag = f"-shard{shard[0]}of{shard[1]}"
+    state_path = args.state
+    if state_path is None and args.cache_dir is not None:
+        # The default snapshot is fingerprinted by the point source too: a
+        # grid by its full spec set (so a different --axis grid never
+        # resumes into bins folded by another, and shards sit next to the
+        # full run), an adaptive source by its config (axes, ci target,
+        # budget), since the point set it emits is an outcome, not an
+        # input. Deliberately extending a sweep uses an explicit --state.
+        state_path = (
+            Path(args.cache_dir)
+            / "aggregates"
+            / f"{args.preset}-s{args.seed}"
+            f"-{aggregator.config_digest[:16]}"
+            f"-{source.strategy[0]}{source.config_digest[:16]}{shard_tag}.json"
+        )
+    # The per-point renderings (and --out/--json) need materialized rows;
+    # the aggregate-rendered presets stream in O(accumulators) memory.
+    # Shard runs never render rows, so they stay streaming-only, which
+    # also keeps the snapshot's skip-outright resume shortcut active.
+    collect = bool(args.out or args.json) or (
+        args.shard is None and preset.row_rendered
+    )
     show_progress = (
         args.progress
         if args.progress is not None
@@ -457,7 +401,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     previous = telemetry.activate(recorder) if recorder is not None else None
     try:
         streamed = stream_campaign(
-            runnable,
+            source,
             aggregator,
             workers=args.workers,
             master_seed=args.seed,
@@ -471,7 +415,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             on_error=preset.on_error,
             shard=shard,
             batch_size=args.batch,
-            planning_aggregator=planning_aggregator,
         )
     except (CampaignError, SnapshotError, OSError) as exc:
         if recorder is not None:
@@ -501,13 +444,13 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         Path(args.agg_out).write_text(streamed.aggregate_json())
     if args.json:
         print(streamed.to_json())
-    elif shard is not None:
+    elif args.shard is not None:
         # A shard's aggregate is deliberately partial; rendering it would
         # show misleading curves (and the table2/figure4 renderers require
         # the full point set). The snapshot is the product — merge all
         # shards with `repro merge` to render the campaign.
         print(
-            f"shard {shard_index}/{shard_count} snapshot written; render "
+            f"shard {shard[0]}/{shard[1]} snapshot written; render "
             f"the full campaign with: repro merge <all shard snapshots> "
             f"--preset {args.preset}"
         )
@@ -525,8 +468,8 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             print(query.report())
     s = streamed.stats
     extra = f", {s.errors} failed" if s.errors else ""
-    shard_tag = (
-        f"shard {shard_index}/{shard_count}: " if shard is not None else ""
+    shard_info = (
+        f"shard {shard[0]}/{shard[1]}: " if args.shard is not None else ""
     )
     round_info = ""
     if adaptive:
@@ -553,7 +496,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             f"({s.kernel_fast}/{kernel_total})"
         )
     print(
-        f"[campaign] {shard_tag}{s.total} points ({s.unique} unique): "
+        f"[campaign] {shard_info}{s.total} points ({s.unique} unique): "
         f"{s.computed} computed, {s.cached} cached in {s.elapsed:.2f}s "
         f"with {s.workers} worker(s) x batch {s.batch_size}; "
         f"aggregate: {s.folded} folded, {s.skipped} resumed{extra}"

@@ -165,7 +165,9 @@ def faultspace_aggregator() -> Aggregator:
 
 
 def _curve_bins(aggregator: Aggregator, metric: str) -> list[tuple[str, Any, Any]]:
-    """``(scenario, rate, accumulator)`` rows, sorted by scenario then rate.
+    """``(scenario, rate, accumulator)`` rows of a ``(scenario, rate)``-keyed
+    curve (a fault rate here, an arrival rate in the ``online`` views),
+    sorted by scenario then rate.
 
     The rate keeps its folded type (an int rate axis stays int): the value
     is reused to address sibling curves' bins, where ``0.1`` and a folded

@@ -10,7 +10,6 @@ out.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,19 +118,11 @@ def figure4_points_from_aggregate(
 def compute_figure4_points(
     partition: PartitionedTaskSet | None = None,
     otot: float = PAPER_OTOT,
-    *,
-    workers: int | None = 1,
-    cache_dir: str | os.PathLike | None = None,
 ) -> Figure4Points:
     """Compute the five annotated points of Figure 4.
 
     Streams through the aggregation layer (named point slots), identical
     results to the former materialized campaign.
     """
-    streamed = stream_campaign(
-        figure4_specs(partition, otot),
-        figure4_aggregator(),
-        workers=workers,
-        cache_dir=cache_dir,
-    )
+    streamed = stream_campaign(figure4_specs(partition, otot), figure4_aggregator())
     return figure4_points_from_aggregate(streamed.aggregator, otot=otot)

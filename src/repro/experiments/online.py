@@ -28,6 +28,7 @@ from __future__ import annotations
 from typing import Any, Mapping
 
 from repro.dependability import format_interval, scenario_names, wilson_interval
+from repro.experiments.faultspace import _curve_bins
 from repro.runner import (
     Aggregator,
     CurveAccumulator,
@@ -159,18 +160,6 @@ def online_aggregator() -> Aggregator:
     )
 
 
-def _series_bins(
-    aggregator: Aggregator, metric: str
-) -> list[tuple[str, Any, Any]]:
-    """``(scenario, arrival_rate, accumulator)`` rows, sorted."""
-    rows = []
-    for bin_key, acc in aggregator[metric].items():  # type: ignore[attr-defined]
-        scenario, rate = bin_key
-        rows.append((scenario, rate, acc))
-    rows.sort(key=lambda r: (r[0], float(r[1])))
-    return rows
-
-
 def acceptance_rows(
     aggregator: Aggregator,
 ) -> tuple[list[str], list[list[Any]]]:
@@ -237,7 +226,7 @@ def reassignment_rows(
         "mean_latency", "mean_miss_window",
     ]
     rows: list[list[Any]] = []
-    for scenario, rate, acc in _series_bins(aggregator, "orphaned"):
+    for scenario, rate, acc in _curve_bins(aggregator, "orphaned"):
         k = (scenario, rate)
         rows.append(
             [

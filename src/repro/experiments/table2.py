@@ -11,7 +11,6 @@ shares the runner's caching and parallelism.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from repro.experiments.paper import PAPER_OTOT
@@ -126,9 +125,6 @@ def compute_table2(
     partition: PartitionedTaskSet | None = None,
     otot: float = PAPER_OTOT,
     algorithm: str = "EDF",
-    *,
-    workers: int | None = 1,
-    cache_dir: str | os.PathLike | None = None,
 ) -> Table2:
     """Reproduce Table 2 for the given partition (default: the paper's).
 
@@ -137,9 +133,6 @@ def compute_table2(
     sweep would — results are identical to the former materialized path.
     """
     streamed = stream_campaign(
-        table2_specs(partition, otot, algorithm),
-        table2_aggregator(),
-        workers=workers,
-        cache_dir=cache_dir,
+        table2_specs(partition, otot, algorithm), table2_aggregator()
     )
     return table2_from_aggregate(streamed.aggregator)

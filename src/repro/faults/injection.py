@@ -24,7 +24,6 @@ from repro.model import Mode, PartitionedTaskSet
 from repro.util import check_positive
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (sim imports faults.model)
-    from repro.dependability.scenarios import FaultScenario
     from repro.sim.multicore import MulticoreResult
 
 
@@ -78,23 +77,16 @@ class FaultCampaign:
         The deployed design to attack.
     rate:
         Poisson fault rate (faults per time unit); ignored when explicit
-        ``faults`` are passed to :meth:`run` or a ``scenario`` is set.
+        ``faults`` are passed to :meth:`run`.
     min_separation:
         Single-fault-assumption spacing (defaults to one platform period, a
         conservative reading of "time to perform simple recovery").
-    scenario:
-        Optional :class:`~repro.dependability.scenarios.FaultScenario`
-        generating the fault stream instead of the default Poisson process
-        (bursty, correlated, intermittent, permanent — see
-        :mod:`repro.dependability`). The scenario draws strikes over the
-        config's ``core_count`` cores.
     """
 
     partition: PartitionedTaskSet
     config: PlatformConfig
     rate: float = 0.01
     min_separation: float | None = None
-    scenario: "FaultScenario | None" = None
 
     def run(
         self,
@@ -115,23 +107,15 @@ class FaultCampaign:
         horizon = horizon if horizon is not None else sim.default_horizon()
         check_positive("horizon", horizon)
         if faults is None:
-            rng = np.random.default_rng(seed)
-            if self.scenario is not None:
-                faults = self.scenario.generate(
-                    horizon, rng, core_count=self.config.core_count
-                )
-            else:
-                sep = (
-                    self.min_separation
-                    if self.min_separation is not None
-                    else self.config.period
-                )
-                gen = PoissonFaultGenerator(
-                    self.rate,
-                    min_separation=sep,
-                    core_count=self.config.core_count,
-                )
-                faults = gen.generate(horizon, rng)
+            sep = (
+                self.min_separation
+                if self.min_separation is not None
+                else self.config.period
+            )
+            gen = PoissonFaultGenerator(
+                self.rate, min_separation=sep, core_count=self.config.core_count
+            )
+            faults = gen.generate(horizon, np.random.default_rng(seed))
         # Materialize once: a one-shot iterable would be drained by the sim,
         # leaving the injected count at 0.
         fault_list = list(faults)

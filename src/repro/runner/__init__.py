@@ -93,7 +93,6 @@ from repro.runner.shard import (
     merge_snapshots,
     parse_shard,
     shard_of,
-    shard_specs,
 )
 from repro.runner.source import (
     AdaptiveRefinementSource,
@@ -184,7 +183,6 @@ __all__ = [
     "save_snapshot",
     "scenario_preset_names",
     "shard_of",
-    "shard_specs",
     "slot_metric",
     "snapshot_dict",
     "stream_campaign",

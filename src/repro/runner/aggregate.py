@@ -727,6 +727,15 @@ class Aggregator:
                 return m.acc
         raise KeyError(name)
 
+    def empty(self) -> "Aggregator":
+        """A twin with the same metrics and fold rules and nothing folded."""
+        return Aggregator(
+            [
+                Metric(m.name, _accumulator_from_config(m.acc.config_dict()), m.fold)
+                for m in self.metrics
+            ]
+        )
+
     def fold(self, spec: PointSpec, result: Any) -> None:
         """Fold one finished point into every metric."""
         for m in self.metrics:

@@ -70,22 +70,6 @@ def shard_of(digest: str, count: int) -> int:
     return int(digest, 16) % count
 
 
-def shard_specs(
-    specs: Iterable[PointSpec], index: int, count: int
-) -> list[PointSpec]:
-    """The sub-list of ``specs`` assigned to shard ``index`` of ``count``.
-
-    Submission order is preserved; duplicates stay with their shard. Every
-    spec lands in exactly one shard, so the N shard lists partition the
-    campaign regardless of which host computes the split.
-    """
-    if count < 1:
-        raise ValueError(f"shard count must be >= 1: got {count}")
-    if not 0 <= index < count:
-        raise ValueError(f"shard index must be in [0, {count}): got {index}")
-    return [s for s in specs if shard_of(s.digest, count) == index]
-
-
 def grid_digest(digests: Iterable[str]) -> str:
     """SHA-256 fingerprint of a campaign's unique point-digest set."""
     return hashlib.sha256(
@@ -119,7 +103,7 @@ class ShardManifest:
 
     @classmethod
     def for_shard(
-        cls, specs: Sequence[PointSpec], index: int, count: int
+        cls, specs: Iterable[PointSpec], index: int, count: int
     ) -> "ShardManifest":
         """Manifest of shard ``index/count`` of the full campaign ``specs``."""
         digests = {s.digest for s in specs}
@@ -391,5 +375,4 @@ __all__ = [
     "parse_shard",
     "read_shard_snapshot",
     "shard_of",
-    "shard_specs",
 ]

@@ -181,6 +181,16 @@ class GridSource(PointSource):
             yield list(self.specs)
 
 
+#: The replication axis an adaptive source grows as a bin needs samples.
+REP_AXIS = "rep"
+#: Rounds an adaptive source plans at most.
+MAX_ROUNDS = 64
+#: Replication units one bin may request in one round.
+MAX_ROUND_REPS = 256
+#: Halvings of the smallest initial refine-axis gap bisection may reach.
+MAX_DEPTH = 3
+
+
 class AdaptiveRefinementSource(PointSource):
     """Seeded, resumable adaptive refinement of a curve metric.
 
@@ -190,8 +200,8 @@ class AdaptiveRefinementSource(PointSource):
     list. ``refine_axis`` names the numeric key axis that bisection
     subdivides. ``extra_axes`` are swept for every bin sample but are
     not part of the bin key (their folds pool into the bin); the
-    ``rep_axis`` replication index grows without bound as a bin demands
-    more samples.
+    :data:`REP_AXIS` replication index grows without bound as a bin
+    demands more samples.
 
     Round 0 emits ``static_specs`` (a fixed companion grid that rides
     along unrefined) plus ``initial_reps`` replication units for every
@@ -201,14 +211,14 @@ class AdaptiveRefinementSource(PointSource):
     * dead (samples were emitted but none ever folded — the experiment
       fails there) — abandoned;
     * open — grow toward :func:`reps_for_width` of the current estimate,
-      at most ``max_round_reps`` units per round (the estimate moves as
-      samples arrive; capping bounds overshoot);
+      at most :data:`MAX_ROUND_REPS` units per round (the estimate moves
+      as samples arrive; capping bounds overshoot);
 
     and between each pair of refine-axis-adjacent bins of a series whose
     means differ by more than ``ci_width``, a midpoint bin is inserted
-    (down to ``max_depth`` halvings of the smallest initial gap).
+    (down to :data:`MAX_DEPTH` halvings of the smallest initial gap).
     Termination: no requests, ``max_points`` exhausted, or
-    ``max_rounds`` reached.
+    :data:`MAX_ROUNDS` reached.
     """
 
     strategy = "adaptive"
@@ -224,12 +234,8 @@ class AdaptiveRefinementSource(PointSource):
         ci_width: float,
         extra_axes: Mapping[str, Any] | None = None,
         base_params: Mapping[str, Any] | None = None,
-        rep_axis: str = "rep",
         initial_reps: int = 4,
         max_points: int | None = None,
-        max_rounds: int = 64,
-        max_round_reps: int = 256,
-        max_depth: int = 3,
         static_specs: Sequence[PointSpec] | None = None,
     ):
         if not experiment:
@@ -238,12 +244,6 @@ class AdaptiveRefinementSource(PointSource):
             raise ValueError(f"ci_width must be in (0, 1): got {ci_width!r}")
         if initial_reps < 1:
             raise ValueError(f"initial_reps must be >= 1: got {initial_reps}")
-        if max_rounds < 1:
-            raise ValueError(f"max_rounds must be >= 1: got {max_rounds}")
-        if max_round_reps < 1:
-            raise ValueError(f"max_round_reps must be >= 1: got {max_round_reps}")
-        if max_depth < 0:
-            raise ValueError(f"max_depth must be >= 0: got {max_depth}")
         if max_points is not None and max_points < 1:
             raise ValueError(f"max_points must be >= 1: got {max_points}")
         if not key_axes:
@@ -270,8 +270,7 @@ class AdaptiveRefinementSource(PointSource):
             for name, value in dict(extra_axes or {}).items()
         }
         self.base_params = dict(base_params or {})
-        self.rep_axis = rep_axis
-        names = list(self.key_axes) + list(self.extra_axes) + [rep_axis]
+        names = list(self.key_axes) + list(self.extra_axes) + [REP_AXIS]
         clashes = {n for n in names if names.count(n) > 1} | (
             set(names) & set(self.base_params)
         )
@@ -280,9 +279,6 @@ class AdaptiveRefinementSource(PointSource):
         self.ci_width = float(ci_width)
         self.initial_reps = int(initial_reps)
         self.max_points = max_points
-        self.max_rounds = int(max_rounds)
-        self.max_round_reps = int(max_round_reps)
-        self.max_depth = int(max_depth)
         self.static_specs = list(static_specs or [])
 
         #: One sample *unit* = one rep index swept over every extra combo.
@@ -292,8 +288,8 @@ class AdaptiveRefinementSource(PointSource):
         self._refine_pos = self._key_names.index(refine_axis)
         refine_sorted = sorted(float(v) for v in self.key_axes[refine_axis])
         gaps = [b - a for a, b in zip(refine_sorted, refine_sorted[1:]) if b > a]
-        #: Bisection floor: the smallest initial gap halved max_depth times.
-        self._min_gap = min(gaps) / (2 ** self.max_depth) if gaps else None
+        #: Bisection floor: the smallest initial gap halved MAX_DEPTH times.
+        self._min_gap = min(gaps) / (2 ** MAX_DEPTH) if gaps else None
 
         #: Canonical bin key -> replication units emitted. Insertion order
         #: is the deterministic planning/emission order; midpoint bins
@@ -326,13 +322,15 @@ class AdaptiveRefinementSource(PointSource):
                 "refine_axis": self.refine_axis,
                 "extra_axes": self.extra_axes,
                 "base_params": self.base_params,
-                "rep_axis": self.rep_axis,
+                # The module constants stay in the fingerprint, so the
+                # snapshots and default names of earlier runs still match.
+                "rep_axis": REP_AXIS,
                 "initial_reps": self.initial_reps,
                 "ci_width": self.ci_width,
                 "max_points": self.max_points,
-                "max_rounds": self.max_rounds,
-                "max_round_reps": self.max_round_reps,
-                "max_depth": self.max_depth,
+                "max_rounds": MAX_ROUNDS,
+                "max_round_reps": MAX_ROUND_REPS,
+                "max_depth": MAX_DEPTH,
                 "static_grid": (
                     grid_digest(s.digest for s in self.static_specs)
                     if self.static_specs
@@ -356,7 +354,7 @@ class AdaptiveRefinementSource(PointSource):
         return [
             PointSpec(
                 self.experiment,
-                {**self.base_params, **bin_params, **extra, self.rep_axis: rep},
+                {**self.base_params, **bin_params, **extra, REP_AXIS: rep},
             )
             for extra in self._extras
         ]
@@ -458,7 +456,7 @@ class AdaptiveRefinementSource(PointSource):
         if self.max_points is not None and self._emitted >= self.max_points:
             self._budget_hit = True
             return []
-        if self._round >= self.max_rounds:
+        if self._round >= MAX_ROUNDS:
             return []
         curve = view[self.metric]
         requests: list[tuple[str, int]] = []
@@ -471,7 +469,7 @@ class AdaptiveRefinementSource(PointSource):
             if wilson_width(p, n) <= self.ci_width:
                 continue
             deficit = reps_for_width(p, self.ci_width) - n
-            units = max(1, min(self.max_round_reps, -(-deficit // self._unit)))
+            units = max(1, min(MAX_ROUND_REPS, -(-deficit // self._unit)))
             requests.append((key_c, units))
         for key_c in self._bisect(curve):
             requests.append((key_c, self.initial_reps))

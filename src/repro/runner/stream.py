@@ -336,9 +336,8 @@ def stream_campaign(
     progress: bool | ProgressReporter = False,
     progress_stream: TextIO | None = None,
     on_error: str = "raise",
-    shard: "ShardManifest | tuple[int, int] | None" = None,
+    shard: tuple[int, int] = (0, 1),
     batch_size: int | None = None,
-    planning_aggregator: Aggregator | None = None,
     on_delta: "Callable[[Mapping[str, Any]], None] | None" = None,
 ) -> StreamResult:
     """Run a campaign, folding each finished point into ``aggregator``.
@@ -362,29 +361,21 @@ def stream_campaign(
       ``store`` run skips known failures instead of re-evaluating them
       (deterministic points fail identically every time).
 
-    ``shard`` declares this run evaluates one shard of a larger campaign
-    (see :mod:`repro.runner.shard`). Two forms:
-
-    * a prebuilt :class:`~repro.runner.shard.ShardManifest` — only valid
-      for upfront sources (grids): the specs must match the manifest's
-      coverage exactly, and the snapshot is tagged with the manifest so
-      ``repro merge`` can validate it;
-    * an ``(index, count)`` tuple — ownership is derived per point via
-      :func:`~repro.runner.shard.shard_of`. For grids this is equivalent
-      to pre-narrowing; for adaptive sources it is the *only* form, since
-      the point set is not known upfront — the manifest is rebuilt each
-      round over the points emitted so far.
+    ``shard=(index, count)`` runs one shard of the campaign (see
+    :mod:`repro.runner.shard`): this run owns the points
+    :func:`~repro.runner.shard.shard_of` assigns to ``index``, and its
+    snapshot carries the manifest ``repro merge`` validates. A grid's
+    manifest covers the full grid's owned points; an adaptive source's is
+    rebuilt each round over the points emitted so far. The default
+    ``(0, 1)`` owns every point and writes the trivial 0/1 manifest.
 
     A sharded *feedback* source must observe every shard's folds to plan
     rounds identically everywhere, so each shard also evaluates the other
-    shards' points into ``planning_aggregator`` (required in that case; a
-    shared ``cache_dir`` lets shards reuse each other's planning work).
-    Only owned points reach ``aggregator``, the snapshot's folded set, the
-    manifest and the counters — adaptive shards therefore merge
-    byte-identically to the unsharded run.
-
-    Without ``shard`` the snapshot carries the trivial 0/1 manifest over
-    the campaign's own point set.
+    shards' points into a planning view: an empty twin of ``aggregator``
+    built here (a shared ``cache_dir`` lets shards reuse each other's
+    planning work). Only owned points reach ``aggregator``, the snapshot's
+    folded set, the manifest and the counters — adaptive shards therefore
+    merge byte-identically to the unsharded run.
 
     ``batch_size`` packs that many points into each pool task (``None``
     auto-sizes, see :func:`~repro.runner.engine.auto_batch_size`); cache
@@ -420,34 +411,9 @@ def stream_campaign(
     source = specs if isinstance(specs, PointSource) else GridSource(specs)
     upfront = source.upfront_specs()
     dynamic = upfront is None
-
-    if isinstance(shard, ShardManifest):
-        if dynamic:
-            raise ValueError(
-                "a prebuilt shard manifest requires an upfront point "
-                "source; pass shard=(index, count) for adaptive sources"
-            )
-        index, count = shard.index, shard.count
-    elif shard is not None:
-        index, count = int(shard[0]), int(shard[1])
-        if count < 1 or not (0 <= index < count):
-            raise ValueError(f"invalid shard {index}/{count}")
-    else:
-        index, count = 0, 1
-
-    planning = None
-    if dynamic and count > 1:
-        if planning_aggregator is None:
-            raise ValueError(
-                "a sharded feedback source needs a planning_aggregator to "
-                "observe the other shards' folds"
-            )
-        if planning_aggregator.config_digest != aggregator.config_digest:
-            raise ValueError(
-                "planning_aggregator must have the same configuration as "
-                "the output aggregator (config digest mismatch)"
-            )
-        planning = planning_aggregator
+    index, count = shard
+    if count < 1 or not (0 <= index < count):
+        raise ValueError(f"invalid shard {index}/{count}")
 
     if dynamic:
         # Rebuilt each round over the points emitted so far.
@@ -455,23 +421,9 @@ def stream_campaign(
             index=index, count=count, grid=grid_digest(()), points=()
         )
     else:
-        upfront_unique: dict[str, PointSpec] = {}
         for spec in upfront:
             get_experiment(spec.experiment)  # fail fast on unknown experiments
-            upfront_unique.setdefault(spec.digest, spec)
-        if isinstance(shard, ShardManifest):
-            manifest = shard
-            if set(upfront_unique) != set(manifest.points):
-                raise ValueError(
-                    f"specs do not match the shard manifest: got "
-                    f"{len(upfront_unique)} unique point(s), manifest "
-                    f"{manifest.index}/{manifest.count} covers "
-                    f"{len(manifest.points)}"
-                )
-        elif shard is not None:
-            manifest = ShardManifest.for_shard(upfront_unique.values(), index, count)
-        else:
-            manifest = ShardManifest.full(upfront_unique)
+        manifest = ShardManifest.for_shard(upfront, index, count)
     owned_upfront = len(manifest.points)
 
     if isinstance(progress, ProgressReporter):
@@ -485,7 +437,7 @@ def stream_campaign(
         source=source,
         dynamic=dynamic,
         aggregator=aggregator,
-        planning=planning,
+        planning=aggregator.empty() if dynamic and count > 1 else None,
         manifest=manifest,
         workers=default_workers() if workers is None else max(1, int(workers)),
         master_seed=master_seed,

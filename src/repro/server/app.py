@@ -97,11 +97,10 @@ class ReproServer:
         *,
         workers: "int | None" = None,
         spool_dir: "str | None" = None,
-        cache_entries: int = 1024,
         access_log: "TextIO | None" = None,
     ):
         self.jobs = JobManager(spool_dir=spool_dir, default_workers=workers)
-        self.cache = QueryCache(max_entries=cache_entries)
+        self.cache = QueryCache()
         self._snapshots: dict[str, SnapshotQuery] = {}
         self._snapshots_lock = threading.Lock()
         self._access_log = access_log

@@ -71,6 +71,9 @@ _EFFECT_TO_OUTCOME = {
 #: Faults are handled in time order; equal times keep the given order.
 _BY_TIME = operator.attrgetter("time")
 
+#: Most platform cycles :meth:`MulticoreSim.default_horizon` returns.
+_HORIZON_CYCLES_CAP = 2000
+
 
 @functools.cache
 def _proc_key(mode: Mode, index: int) -> str:
@@ -262,18 +265,18 @@ class MulticoreSim:
         """The slot schedule being simulated."""
         return self._schedule
 
-    def default_horizon(self, *, cycles_cap: int = 2000) -> float:
+    def default_horizon(self) -> float:
         """Two task hyperperiods, rounded up to whole platform cycles.
 
-        Capped at ``cycles_cap`` platform cycles to keep pathological
-        hyperperiods tractable.
+        Capped at :data:`_HORIZON_CYCLES_CAP` platform cycles to keep
+        pathological hyperperiods tractable.
         """
         tasks = self._partition.all_tasks()
         if len(tasks) == 0:
             return 10.0 * self._schedule.period
         h = float(lcm_fractions([to_fraction(t.period) for t in tasks]))
         p = self._schedule.period
-        n_cycles = min(int(2.0 * h / p) + 1, cycles_cap)
+        n_cycles = min(int(2.0 * h / p) + 1, _HORIZON_CYCLES_CAP)
         return max(n_cycles, 1) * p
 
     # -- fault classification ----------------------------------------------------

@@ -1,13 +1,14 @@
 """Simulation traces: execution slices, events, metrics, ASCII Gantt.
 
-A :class:`SimTrace` is built one of two ways. The global simulator builds
-it eagerly, one :meth:`~SimTrace.add_slice` and :meth:`~SimTrace.log` at a
-time. The partitioned simulators defer it (:meth:`SimTrace.deferred`): they
-record what ran in their own columns, log only the rare events as they
-happen, and hand over a function that assembles the ``slices`` and
-``events`` lists from those records. The lists are assembled on their
-first read and are plain lists from then on, so a fault campaign, which
-reads only the misses and the aborts, never builds one.
+A :class:`SimTrace` is built one of two ways. The simulators defer it
+(:meth:`SimTrace.deferred`): they record what ran in their own columns,
+log only the rare events as they happen, and hand over a function that
+assembles the ``slices`` and ``events`` lists from those records. The
+lists are assembled on their first read and are plain lists from then on,
+so a fault campaign, which reads only the misses and the aborts, never
+builds one. The eager form, one :meth:`~SimTrace.add_slice` and
+:meth:`~SimTrace.log` at a time (and :meth:`~SimTrace.merge`), serves the
+reference loops the tests hold the simulators to.
 """
 
 from __future__ import annotations

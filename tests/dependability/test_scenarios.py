@@ -165,20 +165,6 @@ class TestPermanent:
             assert clone.onset_fraction == fraction
 
 
-class TestFaultCampaignIntegration:
-    def test_campaign_accepts_scenario(self, paper_part, paper_config_b):
-        from repro.faults import FaultCampaign
-
-        camp = FaultCampaign(
-            paper_part, paper_config_b,
-            scenario=BurstyScenario(0.05, burst_factor=10.0),
-        )
-        a = camp.run(horizon=paper_config_b.period * 30, seed=9)
-        b = camp.run(horizon=paper_config_b.period * 30, seed=9)
-        assert a.injected == b.injected > 0
-        assert a.outcomes == b.outcomes
-
-
 class TestDependabilityPoint:
     def test_poisson_keeps_single_fault_spacing_by_default(self):
         """The dependability point's poisson baseline must honour the

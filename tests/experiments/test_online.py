@@ -14,10 +14,8 @@ from repro.experiments.online import (
 )
 from repro.runner import (
     PointSpec,
-    ShardManifest,
     canonical_json,
     merge_snapshots,
-    shard_specs,
     stream_campaign,
 )
 
@@ -226,14 +224,13 @@ class TestShardMerge:
         specs = online_specs(TINY_AXES)
         shard_snaps = []
         for i in range(2):
-            manifest = ShardManifest.for_shard(specs, i, 2)
             result = stream_campaign(
-                shard_specs(specs, i, 2),
+                specs,
                 online_aggregator(),
                 workers=1,
                 master_seed=5,
                 on_error="store",
-                shard=manifest,
+                shard=(i, 2),
                 state_path=tmp_path / f"shard-{i}.json",
             )
             assert result.stats.errors == 0

@@ -250,3 +250,19 @@ class TestAggregator:
         )
         other = Aggregator([mean_metric("other", "feasible")])
         assert other.config_digest != agg.config_digest
+
+    def test_empty_twin_folds_like_a_fresh_aggregator(self):
+        """The planning view of a sharded adaptive run: same shape and fold
+        rules as its source aggregator, none of its folds."""
+        agg = self._aggs()
+        agg.fold(*self._point(0.5, True, 0.49))
+        twin = agg.empty()
+        assert twin.config_digest == agg.config_digest
+        assert twin.state_dict() == self._aggs().state_dict()
+        fresh = self._aggs()
+        for aggregator in (twin, fresh):
+            aggregator.fold(*self._point(1.0, False, 0.7))
+        assert canonical_json(twin.state_dict()) == canonical_json(
+            fresh.state_dict()
+        )
+        assert agg["ratio"].count == 1

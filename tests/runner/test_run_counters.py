@@ -189,8 +189,7 @@ def sharded_adaptive(tmp_path):
                 weighted_aggregator(), workers=1, master_seed=3,
                 cache_dir=tmp_path / "cache",
                 state_path=tmp_path / f"shard{index}.json",
-                shard=(index, 2), planning_aggregator=weighted_aggregator(),
-                batch_size=4, on_error="store",
+                shard=(index, 2), batch_size=4, on_error="store",
             )
         )
         for index in range(2)
@@ -206,8 +205,7 @@ def sharded_adaptive_resume(tmp_path):
                 weighted_adaptive_source(ADAPTIVE_AXES, ci_width=0.4),
                 weighted_aggregator(), workers=1, master_seed=3,
                 state_path=tmp_path / "shard0.json", shard=(0, 2),
-                planning_aggregator=weighted_aggregator(), batch_size=4,
-                on_error="store",
+                batch_size=4, on_error="store",
             )
         )
         for _ in range(2)
@@ -412,8 +410,7 @@ def sharded_adaptive_run(workers, reporter, on_delta):
     return stream_campaign(
         weighted_adaptive_source(ADAPTIVE_AXES, ci_width=0.4),
         weighted_aggregator(), workers=workers, master_seed=3, batch_size=4,
-        shard=(0, 2), planning_aggregator=weighted_aggregator(),
-        on_error="store", progress=reporter, on_delta=on_delta,
+        shard=(0, 2), on_error="store", progress=reporter, on_delta=on_delta,
     )
 
 

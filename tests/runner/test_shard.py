@@ -25,7 +25,6 @@ from repro.runner import (
     merge_snapshots,
     parse_shard,
     shard_of,
-    shard_specs,
     stream_campaign,
 )
 
@@ -49,11 +48,10 @@ def run_shards(specs, count, tmp_path, aggregator=sched_aggregator, **kwargs):
     """Run every shard of ``specs`` into its own snapshot; return the paths."""
     paths = []
     for i in range(count):
-        manifest = ShardManifest.for_shard(specs, i, count)
         path = tmp_path / f"shard-{i}of{count}.json"
         stream_campaign(
-            shard_specs(specs, i, count), aggregator(),
-            master_seed=5, state_path=path, shard=manifest, **kwargs,
+            specs, aggregator(),
+            master_seed=5, state_path=path, shard=(i, count), **kwargs,
         )
         paths.append(path)
     return paths
@@ -78,32 +76,35 @@ class TestPartitioning:
         specs = grid_specs("schedulability", AXES)
         seen: dict[str, int] = {}
         for i in range(3):
-            for spec in shard_specs(specs, i, 3):
-                assert spec.digest not in seen, "shards overlap"
-                seen[spec.digest] = i
+            for digest in ShardManifest.for_shard(specs, i, 3).points:
+                assert digest not in seen, "shards overlap"
+                seen[digest] = i
         assert len(seen) == len(specs)
 
     def test_assignment_is_enumeration_order_free(self):
         specs = grid_specs("schedulability", AXES)
-        fwd = {s.digest for s in shard_specs(specs, 1, 3)}
-        rev = {s.digest for s in shard_specs(list(reversed(specs)), 1, 3)}
+        fwd = ShardManifest.for_shard(specs, 1, 3)
+        rev = ShardManifest.for_shard(list(reversed(specs)), 1, 3)
         assert fwd == rev
 
     def test_assignment_is_content_keyed(self):
         specs = grid_specs("schedulability", AXES)
         for spec in specs:
-            assert spec in shard_specs(specs, shard_of(spec.digest, 4), 4)
+            manifest = ShardManifest.for_shard(specs, shard_of(spec.digest, 4), 4)
+            assert spec.digest in manifest.points
 
     def test_single_shard_is_identity(self):
         specs = grid_specs("schedulability", AXES)
-        assert shard_specs(specs, 0, 1) == specs
+        assert ShardManifest.for_shard(specs, 0, 1) == ShardManifest.full(
+            s.digest for s in specs
+        )
 
     def test_bad_indices_rejected(self):
         specs = grid_specs("schedulability", AXES)
-        with pytest.raises(ValueError):
-            shard_specs(specs, 3, 3)
-        with pytest.raises(ValueError):
-            shard_specs(specs, 0, 0)
+        with pytest.raises(ValueError, match="invalid shard"):
+            stream_campaign(specs, sched_aggregator(), shard=(3, 3))
+        with pytest.raises(ValueError, match="invalid shard"):
+            stream_campaign(specs, sched_aggregator(), shard=(0, 0))
 
 
 class TestManifest:
@@ -115,7 +116,9 @@ class TestManifest:
     def test_points_match_shard_specs(self):
         specs = grid_specs("schedulability", AXES)
         m = ShardManifest.for_shard(specs, 2, 3)
-        assert set(m.points) == {s.digest for s in shard_specs(specs, 2, 3)}
+        assert set(m.points) == {
+            s.digest for s in specs if shard_of(s.digest, 3) == 2
+        }
 
     def test_grid_digest_shared_across_shards(self):
         specs = grid_specs("schedulability", AXES)
@@ -219,11 +222,9 @@ class TestMergeSafety:
         other = Aggregator(
             [mean_metric("other", "feasible", experiment="schedulability")]
         )
-        manifest = ShardManifest.for_shard(specs, 1, 2)
         other_path = tmp_path / "other-config.json"
         stream_campaign(
-            shard_specs(specs, 1, 2), other,
-            master_seed=5, state_path=other_path, shard=manifest,
+            specs, other, master_seed=5, state_path=other_path, shard=(1, 2)
         )
         with pytest.raises(MergeError, match="config digest"):
             merge_snapshot_files([paths[0], other_path])
@@ -232,11 +233,9 @@ class TestMergeSafety:
         specs = grid_specs("schedulability", AXES)
         grown = grid_specs("schedulability", {**AXES, "rep": [0, 1, 2, 3]})
         a = run_shards(specs, 2, tmp_path)[0]
-        manifest = ShardManifest.for_shard(grown, 1, 2)
         b = tmp_path / "other-grid.json"
         stream_campaign(
-            shard_specs(grown, 1, 2), sched_aggregator(),
-            master_seed=5, state_path=b, shard=manifest,
+            grown, sched_aggregator(), master_seed=5, state_path=b, shard=(1, 2)
         )
         with pytest.raises(MergeError, match="grid digest"):
             merge_snapshot_files([a, b])
@@ -391,51 +390,43 @@ class TestPartialMerge:
 
 
 class TestShardedStreaming:
-    def test_specs_must_match_the_manifest(self):
-        specs = grid_specs("schedulability", AXES)
-        manifest = ShardManifest.for_shard(specs, 0, 3)
-        with pytest.raises(ValueError, match="do not match the shard"):
-            stream_campaign(specs, sched_aggregator(), shard=manifest)
-
     def test_resume_into_wrong_shard_snapshot_rejected(self, tmp_path):
         specs = grid_specs("schedulability", AXES)
         path = tmp_path / "shard.json"
-        m0 = ShardManifest.for_shard(specs, 0, 3)
         stream_campaign(
-            shard_specs(specs, 0, 3), sched_aggregator(),
-            master_seed=5, state_path=path, shard=m0,
+            specs, sched_aggregator(),
+            master_seed=5, state_path=path, shard=(0, 3),
         )
-        m1 = ShardManifest.for_shard(specs, 1, 3)
         with pytest.raises(SnapshotError, match="different shard"):
             stream_campaign(
-                shard_specs(specs, 1, 3), sched_aggregator(),
-                master_seed=5, state_path=path, shard=m1,
+                specs, sched_aggregator(),
+                master_seed=5, state_path=path, shard=(1, 3),
             )
 
     def test_sharded_resume_skips_folded_points(self, tmp_path):
         specs = grid_specs("schedulability", AXES)
         path = tmp_path / "shard.json"
-        manifest = ShardManifest.for_shard(specs, 0, 3)
-        sub = shard_specs(specs, 0, 3)
+        owned = len(ShardManifest.for_shard(specs, 0, 3).points)
         first = stream_campaign(
-            sub, sched_aggregator(),
-            master_seed=5, state_path=path, shard=manifest,
+            specs, sched_aggregator(),
+            master_seed=5, state_path=path, shard=(0, 3),
         )
-        assert first.stats.folded == len(sub)
+        assert first.stats.folded == owned
         again = stream_campaign(
-            sub, sched_aggregator(),
-            master_seed=5, state_path=path, shard=manifest,
+            specs, sched_aggregator(),
+            master_seed=5, state_path=path, shard=(0, 3),
         )
         assert again.stats.computed == 0
-        assert again.stats.skipped == len(sub)
+        assert again.stats.skipped == owned
 
     def test_snapshot_records_the_manifest(self, tmp_path):
         specs = grid_specs("schedulability", AXES)
         path = tmp_path / "shard.json"
-        manifest = ShardManifest.for_shard(specs, 2, 3)
         stream_campaign(
-            shard_specs(specs, 2, 3), sched_aggregator(),
-            master_seed=5, state_path=path, shard=manifest,
+            specs, sched_aggregator(),
+            master_seed=5, state_path=path, shard=(2, 3),
         )
         snap = json.loads(path.read_text())
-        assert ShardManifest.from_dict(snap["shard"]) == manifest
+        assert ShardManifest.from_dict(snap["shard"]) == ShardManifest.for_shard(
+            specs, 2, 3
+        )

@@ -41,6 +41,7 @@ from repro.runner import (
     wilson_width,
 )
 from repro.runner.shard import MergeError
+from repro.runner.source import MAX_DEPTH
 
 if "adaptive-probe" not in experiments():
 
@@ -213,11 +214,11 @@ class TestAdaptiveDeterminism:
         assert result.stats.open_bins == 0
 
     def test_mid_gap_floor_respects_max_depth(self):
-        src = probe_source(key_axes={"u": [0.5, 2.5]}, max_depth=2)
+        src = probe_source(key_axes={"u": [0.5, 2.5]})
         result = stream_campaign(src, probe_aggregator())
         gaps = sorted({spec.params["u"] for spec in result.specs})
         smallest = min(b - a for a, b in zip(gaps, gaps[1:]))
-        assert smallest >= 2.0 / 4 - 1e-9
+        assert smallest >= 2.0 / 2**MAX_DEPTH - 1e-9
 
     def test_workers_and_batch_do_not_change_bytes(self, tmp_path):
         # Real registry experiment (pool workers re-import the registry,
@@ -412,18 +413,11 @@ class TestShardedAdaptive:
                 master_seed=9,
                 state_path=state,
                 shard=(index, 2),
-                planning_aggregator=probe_aggregator(),
             )
             assert result.stats.planning_points > 0
             paths.append(state)
         merged = merge_snapshot_files(paths)
         assert canonical_json(merged) == full_state.read_text()
-
-    def test_sharded_needs_planning_aggregator(self):
-        with pytest.raises(ValueError, match="planning_aggregator"):
-            stream_campaign(
-                probe_source(), probe_aggregator(), shard=(0, 2)
-            )
 
     def test_merge_refuses_in_flight_adaptive_shard(self, tmp_path):
         paths = []
@@ -435,7 +429,6 @@ class TestShardedAdaptive:
                 master_seed=9,
                 state_path=state,
                 shard=(index, 2),
-                planning_aggregator=probe_aggregator(),
             )
             paths.append(state)
         snap = json.loads(paths[0].read_text())
@@ -454,7 +447,6 @@ class TestShardedAdaptive:
                 master_seed=9,
                 state_path=state,
                 shard=(index, 2),
-                planning_aggregator=probe_aggregator(),
             )
             paths.append(state)
         snap = json.loads(paths[1].read_text())

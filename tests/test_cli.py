@@ -7,6 +7,7 @@ import pytest
 from repro.cli import main
 from repro.experiments import paper_taskset
 from repro.model import taskset_to_json
+from repro.runner import GridSource, get_preset
 
 
 @pytest.fixture
@@ -567,6 +568,56 @@ class TestAdaptiveCampaign:
                 ["campaign", "weighted", "--strategy", "adaptive",
                  "--shard", "0/2", "--no-progress"]
             )
+
+
+class TestDefaultSnapshotNames:
+    """With --cache-dir and no --state, a run's snapshot is named after its
+    preset, seed, aggregate shape and point source (g: the full grid, a: the
+    adaptive configuration), then its shard."""
+
+    def snapshot_name(self, tmp_path, argv):
+        cache = tmp_path / "cache"
+        assert main([*argv, "--cache-dir", str(cache)]) == 0
+        (path,) = (cache / "aggregates").iterdir()
+        return path.name
+
+    def stem(self, preset, seed, source):
+        aggregate = get_preset(preset).aggregator().config_digest[:16]
+        return (
+            f"{preset}-s{seed}-{aggregate}"
+            f"-{source.strategy[0]}{source.config_digest[:16]}"
+        )
+
+    @pytest.mark.parametrize(
+        "shard, expected",
+        [
+            (None, "sched-s7-286e57ccb8041d26-g9d45c38b391e5269.json"),
+            ("1/3", "sched-s7-286e57ccb8041d26-g9d45c38b391e5269-shard1of3.json"),
+        ],
+    )
+    def test_grid_run(self, tmp_path, shard, expected):
+        argv = ["campaign", "sched", *SCHED_TINY, "--seed", "7", "--no-progress"]
+        if shard is not None:
+            argv += ["--shard", shard]
+        name = self.snapshot_name(tmp_path, argv)
+        axes = ["u_total=0.5,1.5", "n=8", "rep=0,1,2"]
+        source = GridSource(get_preset("sched").specs(axes))
+        tag = "" if shard is None else "-shard1of3"
+        assert name == f"{self.stem('sched', 7, source)}{tag}.json" == expected
+
+    def test_adaptive_run(self, tmp_path):
+        argv = [*ADAPTIVE_SMOKE, "--max-points", "12"]
+        name = self.snapshot_name(tmp_path, argv)
+        axes = [
+            "u_total=0.8,2.4", "n=6", "period_hyperperiod=720.0",
+            "rep=0,1,2", "rate=0.02",
+        ]
+        source = get_preset("weighted").adaptive_source(
+            axes, ci_width=0.4, max_points=12
+        )
+        assert name == f"{self.stem('weighted', 3, source)}.json" == (
+            "weighted-s3-5d01f3b21f31dbc3-a25e9e2ba6199c4ce.json"
+        )
 
 
 class TestErrors:
